@@ -476,7 +476,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tolerance", type=float, default=None, help="cell size override")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=int, default=6)
-    p.add_argument("--exact", action="store_true", help="use the exact rasterized oracle")
+    p.add_argument("--exact", action="store_true", help="use the exact even-odd polygon IoU")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_piou)
 

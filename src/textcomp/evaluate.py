@@ -4,12 +4,14 @@ Predictions and ground truth are annotation records keyed by image.
 Within an image, predictions are visited in order of decreasing score
 (ties keep input order) and greedily claim the unmatched ground-truth
 instance of highest overlap at or above the threshold. Ground truth flagged
-ignore=True never counts toward recall; predictions whose best remaining
-overlap is with an ignored instance are discarded rather than counted as
-false positives.
+ignore=True never counts toward recall. A prediction that claims no
+ground truth is discarded, rather than counted as a false positive, when
+its overlap with some ignored instance is at or above the threshold;
+otherwise it is a false positive, even if its best overlap below the
+threshold is with an ignored instance.
 
-Overlap kinds: the sequence-sampling estimate ("piou-mc"), its rasterized
-exact counterpart ("piou-exact"), or bounding-rectangle IoU ("biou").
+Overlap kinds: the sequence-sampling estimate ("piou-mc"), the exact
+even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Instead of clipping polygons against each other, each component sequence is
 covered with a deterministic grid of interior points (mapped through the
 quads by bilinear interpolation, spread along the chain by arc length), the
 points are quantized into tolerance-sized cells, and IoU is computed on the
-two cell sets. A high-resolution scanline rasterizer (``piou_exact``)
-provides the reference value, and ``biou`` the axis-aligned box baseline.
+two cell sets. ``piou_exact`` provides the reference value by exact
+even-odd slab integration, and ``biou`` the axis-aligned box baseline.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ComponentSequence, polygon_area, _poly_vertices
+from .geometry import ComponentSequence, _poly_vertices
 
 __all__ = [
     "PIoUConfig",
@@ -155,65 +155,63 @@ def piou_mc(
     return PIoUEstimate(value, inter, union, resolved)
 
 
-def _rasterize(v: np.ndarray, x0: float, y0: float, cell: float, rows: int, cols: int) -> np.ndarray:
-    """Even-odd scanline raster of a polygon on a fixed grid of cell centers."""
-    a = v
-    b = np.roll(v, -1, axis=0)
-    ya, yb = a[:, 1], b[:, 1]
-    ymin = np.minimum(ya, yb)
-    ymax = np.maximum(ya, yb)
-    r_lo = np.clip(np.ceil((ymin - y0) / cell - 0.5).astype(np.int64), 0, rows)
-    r_hi = np.clip(np.ceil((ymax - y0) / cell - 0.5).astype(np.int64), 0, rows)
-    counts = np.maximum(r_hi - r_lo, 0)
-    total = int(counts.sum())
-    mask = np.zeros((rows, cols), dtype=bool)
-    if total == 0:
-        return mask
-    edge_idx = np.repeat(np.arange(len(v)), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    row_idx = np.arange(total) - np.repeat(starts, counts) + np.repeat(r_lo, counts)
-    yc = y0 + (row_idx + 0.5) * cell
-    dy = yb - ya
-    t = (yc - ya[edge_idx]) / dy[edge_idx]
-    xc = a[edge_idx, 0] + t * (b[:, 0] - a[:, 0])[edge_idx]
-    col0 = np.clip(np.floor((xc - x0) / cell + 0.5).astype(np.int64), 0, cols)
-    delta = np.zeros((rows, cols + 1), dtype=np.int16)
-    np.add.at(delta, (row_idx, col0), 1)
-    np.cumsum(delta[:, :cols], axis=1, out=delta[:, :cols])
-    np.bitwise_and(delta[:, :cols], 1, out=delta[:, :cols])
-    return delta[:, :cols].astype(bool)
+# Elements per (rows x edges) block: bounds memory for inputs with many crossings.
+_BLOCK = 1 << 16
 
 
-def piou_exact(poly_a, poly_b, resolution: int = 4096) -> float:
-    """Reference polygon IoU by shared-grid scanline rasterization.
+def _crossing_heights(y0, y1, x0, k) -> list[np.ndarray]:
+    """Heights where two edges strictly swap x-order, over all edge pairs."""
+    n = len(k)
+    out = [np.empty(0)]
+    step = max(1, _BLOCK // max(n, 1))
+    for s in range(0, n, step):
+        i = np.arange(s, min(n, s + step))[:, None]
+        lo, hi = np.maximum(y0[i], y0), np.minimum(y1[i], y1)
+        d_lo = (x0[i] + (lo - y0[i]) * k[i]) - (x0 + (lo - y0) * k)
+        d_hi = (x0[i] + (hi - y0[i]) * k[i]) - (x0 + (hi - y0) * k)
+        hit = (i < np.arange(n)) & (lo < hi) & (d_lo * d_hi < 0.0)
+        out.append(lo[hit] + (hi - lo)[hit] * (d_lo[hit] / (d_lo - d_hi)[hit]))
+    return out
 
-    The grid places `resolution` cells along the longer side of the joint
-    bounding box, rasterizes both polygons at cell centers with the even-odd
-    rule, and returns the IoU of the two boolean masks. Zero-area inputs
-    follow the empty conventions: both empty -> 1.0, one empty -> 0.0.
+
+def piou_exact(poly_a, poly_b) -> float:
+    """Exact polygon IoU under the even-odd rule, by slab integration.
+
+    A point is inside when a ray from it crosses the boundary an odd number
+    of times, so a bow-tie covers both lobes and a zero-area outline covers
+    nothing. Slabs are cut at every vertex height and every height where
+    two edges of either polygon cross; inside a slab the edges' x-order is
+    fixed, so the covered lengths of A, B, A and B, and A or B are linear
+    in y and mid-height length times slab height is exact. Empty
+    conventions: both areas zero -> 1.0, one zero -> 0.0.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    va = _poly_vertices(poly_a)
-    vb = _poly_vertices(poly_b)
-    area_a = abs(polygon_area(va))
-    area_b = abs(polygon_area(vb))
-    if area_a == 0.0 and area_b == 0.0:
-        return 1.0
+    va, vb = _poly_vertices(poly_a), _poly_vertices(poly_b)
+    start = np.concatenate([va, vb])
+    end = np.concatenate([np.roll(va, -1, axis=0), np.roll(vb, -1, axis=0)])
+    up = (start[:, 1] < end[:, 1])[:, None]
+    lo, hi = np.where(up, start, end), np.where(up, end, start)
+    keep = lo[:, 1] < hi[:, 1]  # horizontal edges never cross a mid-height
+    in_a = (np.arange(len(start)) < len(va))[keep]
+    (x0, y0), (x1, y1) = lo[keep].T, hi[keep].T
+    k = (x1 - x0) / (y1 - y0)
+    ys = np.unique(np.concatenate([start[:, 1], *_crossing_heights(y0, y1, x0, k)]))
+    mids, heights = 0.5 * (ys[:-1] + ys[1:]), np.diff(ys)
+    area = np.zeros(4)  # integrals of the covered lengths of A, B, A and B, A or B
+    step = max(1, _BLOCK // max(len(k), 1))
+    for s in range(0, len(mids), step):
+        y = mids[s : s + step, None]
+        active = (y0 < y) & (y < y1)
+        x = np.where(active, x0 + (y - y0) * k, start[:, 0].max())
+        order = np.argsort(x, axis=1)
+        crossed = np.take_along_axis(active, order, axis=1)
+        pa = np.cumsum(crossed & in_a[order], axis=1)[:, :-1] & 1
+        pb = np.cumsum(crossed & ~in_a[order], axis=1)[:, :-1] & 1
+        seg = np.diff(np.take_along_axis(x, order, axis=1), axis=1) * heights[s : s + step, None]
+        area += [np.sum(seg * c) for c in (pa, pb, pa & pb, pa | pb)]
+    area_a, area_b, inter, union = area
     if area_a == 0.0 or area_b == 0.0:
-        return 0.0
-    pts = np.concatenate([va, vb])
-    mn = pts.min(axis=0)
-    mx = pts.max(axis=0)
-    w, h = float(mx[0] - mn[0]), float(mx[1] - mn[1])
-    cell = max(w, h) / resolution
-    cols = max(1, int(math.ceil(w / cell - 1e-9)))
-    rows = max(1, int(math.ceil(h / cell - 1e-9)))
-    mask_a = _rasterize(va, float(mn[0]), float(mn[1]), cell, rows, cols)
-    mask_b = _rasterize(vb, float(mn[0]), float(mn[1]), cell, rows, cols)
-    inter = int(np.count_nonzero(mask_a & mask_b))
-    union = int(np.count_nonzero(mask_a | mask_b))
-    return inter / union if union > 0 else 0.0
+        return float(area_a == area_b)
+    return float(inter / union)
 
 
 def biou(poly_a, poly_b) -> float:

@@ -100,6 +100,22 @@ def test_ignored_truths_neither_reward_nor_punish():
     assert report.false_positives == 0 and report.false_negatives == 0
 
 
+def test_weak_overlap_with_ignored_truth_is_a_false_positive():
+    # The prediction's best overlap is the ignored truth, but at IoU 1/3 it
+    # is below the threshold, so it is not discarded: it counts as an FP.
+    gts = [
+        record(
+            "img",
+            Instance(polygon=rect(0, 0)),
+            Instance(polygon=rect(0, 100), ignore=True),
+        )
+    ]
+    preds = [record("img", Instance(polygon=rect(30, 100), score=0.9))]
+    report = evaluate(preds, gts)
+    assert report.false_positives == 1
+    assert report.true_positives == 0 and report.false_negatives == 1
+
+
 def test_one_to_one_matching_marks_duplicates_false():
     gts = [record("img", Instance(polygon=rect(0, 0)))]
     preds = [

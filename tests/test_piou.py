@@ -1,5 +1,7 @@
 """Interior sampling, cell quantization, and the overlap estimators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from textcomp import (
     ComponentSequence,
     PIoUConfig,
     Polygon,
+    RibbonParams,
     assemble,
     biou,
     decompose,
     gen_ribbon,
+    perturb,
     piou_exact,
     piou_mc,
     point_in_polygon,
@@ -172,7 +176,7 @@ def test_exact_identity_and_disjoint():
 def test_exact_nested_squares():
     outer = Polygon(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
     inner = Polygon(np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]]))
-    assert piou_exact(outer, inner) == pytest.approx(0.25, abs=2e-3)
+    assert piou_exact(outer, inner) == pytest.approx(0.25, abs=1e-9)
 
 
 def _clip_convex(subject, clip):
@@ -213,7 +217,7 @@ def _random_convex(rng, shift):
 
 def test_exact_matches_convex_clipping_oracle():
     # Independent route: exact intersection area by half-plane clipping with
-    # shoelace areas, versus the rasterized estimate.
+    # shoelace areas, versus slab integration.
     rng = np.random.default_rng(31)
     for _ in range(20):
         a = _random_convex(rng, np.zeros(2))
@@ -223,7 +227,7 @@ def test_exact_matches_convex_clipping_oracle():
         union = abs(_shoelace(a)) + abs(_shoelace(b)) - inter
         expected = inter / union if union > 0 else 1.0
         got = piou_exact(Polygon(a), Polygon(b))
-        assert got == pytest.approx(expected, abs=0.005)
+        assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_exact_range():
@@ -232,6 +236,144 @@ def test_exact_range():
         a = Polygon(_random_convex(rng, np.zeros(2)))
         b = Polygon(_random_convex(rng, rng.uniform(-40.0, 40.0, 2)))
         assert 0.0 <= piou_exact(a, b) <= 1.0
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+BOW_TIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # even-odd covers both lobes of the bow-tie: half the square
+        (BOW_TIE, SQUARE, 0.5),
+        (BOW_TIE, BOW_TIE, 1.0),
+        # collinear outline: zero even-odd area, so "one empty" -> 0.0
+        ([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]], SQUARE, 0.0),
+        # rectangles sharing one edge have zero-area intersection
+        (SQUARE, [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]], 0.0),
+        # extra collinear vertices do not change the region
+        (SQUARE, [[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1], [0, 1], [0, 0.5]], 1.0),
+    ],
+)
+def test_exact_even_odd_semantics_on_odd_inputs(a, b, expected):
+    assert piou_exact(a, b) == expected
+    assert piou_exact(b, a) == expected
+
+
+def _rasterize(v, x0, y0, cell, rows, cols):
+    """Even-odd scanline raster of a polygon on a fixed grid of cell centers."""
+    a = v
+    b = np.roll(v, -1, axis=0)
+    ya, yb = a[:, 1], b[:, 1]
+    ymin = np.minimum(ya, yb)
+    ymax = np.maximum(ya, yb)
+    r_lo = np.clip(np.ceil((ymin - y0) / cell - 0.5).astype(np.int64), 0, rows)
+    r_hi = np.clip(np.ceil((ymax - y0) / cell - 0.5).astype(np.int64), 0, rows)
+    counts = np.maximum(r_hi - r_lo, 0)
+    total = int(counts.sum())
+    mask = np.zeros((rows, cols), dtype=bool)
+    if total == 0:
+        return mask
+    edge_idx = np.repeat(np.arange(len(v)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    row_idx = np.arange(total) - np.repeat(starts, counts) + np.repeat(r_lo, counts)
+    yc = y0 + (row_idx + 0.5) * cell
+    dy = yb - ya
+    t = (yc - ya[edge_idx]) / dy[edge_idx]
+    xc = a[edge_idx, 0] + t * (b[:, 0] - a[:, 0])[edge_idx]
+    col0 = np.clip(np.floor((xc - x0) / cell + 0.5).astype(np.int64), 0, cols)
+    delta = np.zeros((rows, cols + 1), dtype=np.int16)
+    np.add.at(delta, (row_idx, col0), 1)
+    np.cumsum(delta[:, :cols], axis=1, out=delta[:, :cols])
+    np.bitwise_and(delta[:, :cols], 1, out=delta[:, :cols])
+    return delta[:, :cols].astype(bool)
+
+
+def _raster_iou(poly_a, poly_b, resolution=4096):
+    """Oracle IoU of two even-odd rasters on a shared grid of cell centers.
+
+    The grid places `resolution` cells along the longer side of the joint
+    bounding box. Independent of slab integration, and approximate: its
+    error shrinks with the cell size.
+    """
+    va = np.asarray(getattr(poly_a, "vertices", poly_a), dtype=float)
+    vb = np.asarray(getattr(poly_b, "vertices", poly_b), dtype=float)
+    pts = np.concatenate([va, vb])
+    mn, mx = pts.min(axis=0), pts.max(axis=0)
+    w, h = float(mx[0] - mn[0]), float(mx[1] - mn[1])
+    cell = max(w, h) / resolution
+    cols = max(1, int(math.ceil(w / cell - 1e-9)))
+    rows = max(1, int(math.ceil(h / cell - 1e-9)))
+    mask_a = _rasterize(va, float(mn[0]), float(mn[1]), cell, rows, cols)
+    mask_b = _rasterize(vb, float(mn[0]), float(mn[1]), cell, rows, cols)
+    return np.count_nonzero(mask_a & mask_b) / np.count_nonzero(mask_a | mask_b)
+
+
+def test_exact_agrees_with_raster_oracle_on_curved_ribbons():
+    # Non-convex inputs, which the convex clipping oracle cannot cover.
+    rng = np.random.default_rng(2412)
+    params = RibbonParams(curvature=0.012)
+    for i in range(50):
+        contour = gen_ribbon(int(rng.integers(2**31)), params)
+        rebuilt = assemble(decompose(contour, 6))
+        if i % 2:
+            other = contour_polygon(contour)
+        else:
+            noisy = assemble(perturb(contour, 3.0, seed=i)).vertices
+            other = Polygon(noisy + rng.uniform(-10.0, 10.0, 2))
+        expected = _raster_iou(rebuilt, other)
+        assert piou_exact(rebuilt, other) == pytest.approx(expected, abs=1e-4)
+
+
+def test_exact_agrees_with_raster_oracle_on_self_intersecting_polygons():
+    # 400 edges with thousands of crossings: the slabs span several blocks.
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.0, 1.0, (200, 2))
+    b = rng.uniform(0.0, 1.0, (200, 2))
+    assert piou_exact(a, b) == pytest.approx(_raster_iou(a, b), abs=1e-4)
+
+
+@st.composite
+def simple_polygons(draw):
+    """Star-shaped, hence simple, polygons: sorted angles, positive radii."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(5.0, 40.0, n)
+    center = rng.uniform(-50.0, 50.0, 2)
+    return center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@given(a=simple_polygons(), b=simple_polygons())
+@settings(max_examples=60, deadline=None)
+def test_exact_symmetry_identity_and_disjoint(a, b):
+    assert piou_exact(a, b) == piou_exact(b, a)
+    assert piou_exact(a, a) == 1.0
+    shift = a.max(axis=0) - b.min(axis=0) + 1.0
+    assert piou_exact(a, b + shift) == 0.0
+
+
+@given(
+    a=simple_polygons(),
+    b=simple_polygons(),
+    shift=st.tuples(
+        st.floats(min_value=-500.0, max_value=500.0),
+        st.floats(min_value=-500.0, max_value=500.0),
+    ),
+    scale=st.floats(min_value=0.01, max_value=100.0),
+    roll=st.integers(min_value=1, max_value=11),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_invariances(a, b, shift, scale, roll):
+    value = piou_exact(a, b)
+    assert 0.0 <= value <= 1.0
+    moved = np.asarray(shift)
+    assert piou_exact(a + moved, b + moved) == pytest.approx(value, abs=1e-9)
+    assert piou_exact(a * scale, b * scale) == pytest.approx(value, abs=1e-9)
+    assert piou_exact(np.roll(a, roll, axis=0), b) == pytest.approx(value, abs=1e-9)
+    assert piou_exact(a[::-1], b) == pytest.approx(value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------- biou

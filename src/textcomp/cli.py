@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import evaluate
+from .evaluate import _as_sequence, evaluate
 from .geometry import (
     ComponentSequence,
     assemble,
@@ -92,15 +92,8 @@ def _read_records(path: str, format_hint: str | None = None) -> list[AnnotationR
     return read_jsonl(path)
 
 
-def _instance_sequence(inst: Instance, t: int, method: str = "bspline") -> ComponentSequence:
-    if inst.components is not None:
-        return ComponentSequence(quads=inst.components)
-    contour = split_long_sides(inst.polygon)
-    return decompose(contour, t, method=method)
-
-
 def _scored_sequence(inst: Instance, t: int) -> ComponentSequence:
-    seq = _instance_sequence(inst, t)
+    seq = _as_sequence(inst, t)
     score = 1.0 if inst.score is None else inst.score
     return ComponentSequence(quads=seq.quads, scores=np.full(len(seq.quads), score))
 
@@ -174,16 +167,14 @@ def _cmd_piou(args) -> int:
                 pair.append(record_from_dict(wrapped, lineno).instances[0])
             rows.append(pair)
 
-    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance, seed=args.seed)
+    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
     results = []
     for index, (a, b) in enumerate(rows):
         if args.exact:
             value = piou_exact(a.polygon, b.polygon)
             results.append({"index": index, "value": value, "kind": "exact"})
         else:
-            est = piou_mc(
-                _instance_sequence(a, args.t), _instance_sequence(b, args.t), config
-            )
+            est = piou_mc(_as_sequence(a, args.t), _as_sequence(b, args.t), config)
             results.append(
                 {
                     "index": index,
@@ -232,7 +223,7 @@ def _cmd_match(args) -> int:
             )[: args.n_max]
             pred_instances = [pred_instances[i] for i in sorted(order)]
         preds = [_scored_sequence(p, args.t) for p in pred_instances]
-        gts = [_instance_sequence(g, args.t) for g in gt_instances]
+        gts = [_as_sequence(g, args.t) for g in gt_instances]
         result = match_sequences(preds, gts, params)
         reports.append(
             {
@@ -258,7 +249,7 @@ def _cmd_match(args) -> int:
 def _cmd_eval(args) -> int:
     preds = read_jsonl(args.preds)
     gts = read_jsonl(args.gts)
-    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance, seed=args.seed)
+    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
     report = evaluate(
         preds,
         gts,
@@ -474,7 +465,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--k", type=int, default=10_000, help="sample budget (default 10000)")
     p.add_argument("--tolerance", type=float, default=None, help="cell size override")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="echoed in the output only")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--exact", action="store_true", help="use the exact even-odd polygon IoU")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -501,7 +492,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--iou-kind", choices=("piou-exact", "piou-mc", "biou"), default="piou-exact")
     p.add_argument("--k", type=int, default=10_000)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="echoed in the output only")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)

@@ -44,6 +44,7 @@ class EvalReport:
 
 
 def _as_sequence(inst: Instance, t: int) -> ComponentSequence:
+    """The instance's own components, else its polygon decomposed into t quads."""
     if inst.components is not None:
         return ComponentSequence(quads=inst.components)
     return decompose(split_long_sides(inst.polygon), t)

@@ -27,6 +27,8 @@ from textcomp import (
 )
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+BOW_TIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def square_chain(x0, y0, size, t=2):
@@ -78,16 +80,75 @@ def test_sample_rejects_bad_k():
         sample_interior(ComponentSequence(UNIT_QUAD), 0)
 
 
+def _pointwise_sample(seq, k):
+    """Oracle sampler: the same grid, each point mapped through the chain on
+    its own rather than per grid column."""
+    q = seq.quads
+    top = np.linalg.norm(q[:, 1] - q[:, 0], axis=1)
+    bot = np.linalg.norm(q[:, 2] - q[:, 3], axis=1)
+    left = np.linalg.norm(q[:, 3] - q[:, 0], axis=1)
+    right = np.linalg.norm(q[:, 2] - q[:, 1], axis=1)
+    arc = 0.5 * (top + bot)
+    total_arc = arc.sum()
+    width = float(np.mean(0.5 * (left + right)))
+    aspect = total_arc / width if total_arc > 0.0 and width > 0.0 else 1.0
+    rows = max(1, int(round(math.sqrt(k / aspect))))
+    cols = int(math.ceil(k / rows))
+    total = rows * cols
+    uu = np.tile((np.arange(cols) + 0.5) / cols, rows)
+    vv = np.repeat((np.arange(rows) + 0.5) / rows, cols)
+    if total > k:
+        keep = np.floor(np.arange(k) * (total / k)).astype(int)
+        uu, vv = uu[keep], vv[keep]
+    if total_arc > 0.0:
+        cum = np.concatenate([[0.0], np.cumsum(arc)]) / total_arc
+    else:
+        cum = np.arange(len(q) + 1) / len(q)
+    f = np.clip(np.searchsorted(cum, uu, side="right") - 1, 0, len(q) - 1)
+    span = cum[f + 1] - cum[f]
+    s = np.where(span > 0.0, (uu - cum[f]) / np.where(span == 0.0, 1.0, span), 0.0)
+    s1 = np.clip(s, 0.0, 1.0)[:, None]
+    v1 = vv[:, None]
+    qs = q[f]
+    top_pt = (1.0 - s1) * qs[:, 0] + s1 * qs[:, 1]
+    bot_pt = (1.0 - s1) * qs[:, 3] + s1 * qs[:, 2]
+    return (1.0 - v1) * top_pt + v1 * bot_pt
+
+
+@pytest.mark.parametrize("t", [1, 3, 6, 9])
+def test_sample_matches_pointwise_oracle_bitwise(t):
+    # Random quads, folded ones included, and ribbon chains; k values whose
+    # grid has more than k points take the evenly spaced subsample.
+    rng = np.random.default_rng(t)
+    chains = [ComponentSequence(rng.uniform(-50.0, 50.0, (t, 4, 2))) for _ in range(3)]
+    chains.append(decompose(gen_ribbon(t, RibbonParams(curvature=0.012)), t))
+    for seq in chains:
+        for k in (1, 2, 3, 7, 10, 99, 101, 997, 1003, 4999, 10_000):
+            expected = _pointwise_sample(seq, k)
+            got = sample_interior(seq, k)
+            assert np.array_equal(got, expected), (t, k)
+
+
 # ------------------------------------------------------------------ quantize
 
 
+def _cell_set(cells):
+    """The cells of a quantize result as a set, after checking its form:
+    int64 (n, 2) rows, distinct and in strictly increasing (x, y) order."""
+    assert cells.dtype == np.int64
+    assert cells.ndim == 2 and cells.shape[1] == 2
+    rows = list(map(tuple, cells.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    return set(rows)
+
+
 def test_quantize_collapses_shared_cells():
-    assert quantize([(0.1, 0.1), (0.2, 0.2)], 1.0) == {(0, 0)}
-    assert quantize([(0.1, 0.1), (0.2, 0.2)], 0.1) == {(1, 1), (2, 2)}
+    assert _cell_set(quantize([(0.1, 0.1), (0.2, 0.2)], 1.0)) == {(0, 0)}
+    assert _cell_set(quantize([(0.1, 0.1), (0.2, 0.2)], 0.1)) == {(1, 1), (2, 2)}
 
 
 def test_quantize_floor_semantics_for_negatives():
-    assert quantize([(-0.05, 0.0)], 0.1) == {(-1, 0)}
+    assert _cell_set(quantize([(-0.05, 0.0)], 0.1)) == {(-1, 0)}
 
 
 def test_quantize_rejects_bad_tolerance():
@@ -103,7 +164,7 @@ def test_quantize_rejects_bad_tolerance():
 def test_quantize_duplicate_invariance(seed, tol):
     pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (40, 2))
     doubled = np.concatenate([pts, pts])
-    assert quantize(pts, tol) == quantize(doubled, tol)
+    assert _cell_set(quantize(pts, tol)) == _cell_set(quantize(doubled, tol))
 
 
 # ------------------------------------------------------------------- piou_mc
@@ -154,6 +215,60 @@ def test_mc_range_and_counts():
     est = piou_mc(a, b, PIoUConfig(k_samples=5000, tolerance=1.0))
     assert 0.0 <= est.value <= 1.0
     assert est.value == est.intersection_cells / est.union_cells
+
+
+def _set_piou(gt, pred, config=None):
+    """Oracle cell counts: Python sets of cell tuples, with the tolerance
+    resolved as piou_mc documents it."""
+    cfg = config or PIoUConfig()
+    tol = cfg.tolerance
+    if tol is None:
+        pts = np.concatenate([gt.quads.reshape(-1, 2), pred.quads.reshape(-1, 2)])
+        span = pts.max(axis=0) - pts.min(axis=0)
+        diag = float(math.hypot(span[0], span[1]))
+        tol = 0.005 * diag if diag > 0.0 else 1.0
+
+    def cells(seq):
+        points = _pointwise_sample(seq, cfg.k_samples)
+        return set(map(tuple, np.floor(points / tol).astype(np.int64).tolist()))
+
+    a, b = cells(gt), cells(pred)
+    inter, union = len(a & b), len(a | b)
+    return (inter / union if union else 1.0), inter, union, tol
+
+
+def _mc_pairs():
+    rng = np.random.default_rng(2413)
+    params = RibbonParams(curvature=0.012)
+    for i in range(8):
+        contour = gen_ribbon(int(rng.integers(2**31)), params)
+        gt = decompose(contour, 6)
+        yield gt, perturb(contour, 3.0, seed=i)  # curved, overlapping
+        yield gt, ComponentSequence(gt.quads + 1e4)  # disjoint
+        yield gt, gt  # identical
+    yield ComponentSequence(np.array([BOW_TIE])), ComponentSequence(np.array([SQUARE]))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, PIoUConfig(k_samples=3000, tolerance=1e-6), PIoUConfig(k_samples=5000, tolerance=2.5)],
+)
+def test_mc_matches_cell_set_oracle(config):
+    for gt, pred in _mc_pairs():
+        est = piou_mc(gt, pred, config)
+        got = (est.value, est.intersection_cells, est.union_cells, est.config.tolerance)
+        assert got == _set_piou(gt, pred, config)
+
+
+def test_mc_bow_tie_counts_its_bilinear_image():
+    # A folded quad is sampled through its bilinear map, which covers less
+    # than its even-odd region: piou_mc differs from piou_exact here.
+    bow_tie = ComponentSequence(np.array([BOW_TIE]))
+    square = ComponentSequence(np.array([SQUARE]))
+    est = piou_mc(bow_tie, square)
+    assert (est.intersection_cells, est.union_cells) == (3510, 13567)
+    assert est.value == pytest.approx(0.2587, abs=5e-5)
+    assert piou_exact(BOW_TIE, SQUARE) == 0.5
 
 
 def test_config_validation():
@@ -236,10 +351,6 @@ def test_exact_range():
         a = Polygon(_random_convex(rng, np.zeros(2)))
         b = Polygon(_random_convex(rng, rng.uniform(-40.0, 40.0, 2)))
         assert 0.0 <= piou_exact(a, b) <= 1.0
-
-
-SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-BOW_TIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize(

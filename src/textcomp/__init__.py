@@ -11,7 +11,6 @@ annotation I/O, and a command-line front end.
 from .evaluate import EvalReport, evaluate
 from .frames import FrameGrid, InstancePrediction, from_frames, to_frames
 from .geometry import (
-    BSplineCurve,
     ComponentQuad,
     ComponentSequence,
     Point2,
@@ -20,9 +19,6 @@ from .geometry import (
     assemble,
     bbox,
     bezier_fit_side,
-    bspline_basis,
-    bspline_eval,
-    clamped_uniform_knots,
     contour_polygon,
     decompose,
     has_shared_edges,
@@ -51,7 +47,6 @@ from .losses import (
     focal_loss,
     l1_loss,
     psc_loss,
-    total_loss,
 )
 from .matching import (
     CapacityError,
@@ -68,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotationRecord",
-    "BSplineCurve",
     "CapacityError",
     "ComponentQuad",
     "ComponentSequence",
@@ -94,9 +88,6 @@ __all__ = [
     "bbox",
     "bezier_fit_side",
     "biou",
-    "bspline_basis",
-    "bspline_eval",
-    "clamped_uniform_knots",
     "contour_polygon",
     "decompose",
     "evaluate",
@@ -126,7 +117,6 @@ __all__ = [
     "seq_match_cost",
     "split_long_sides",
     "to_frames",
-    "total_loss",
     "write_jsonl",
     "__version__",
 ]

@@ -186,7 +186,6 @@ def _cmd_piou(args) -> int:
                 }
             )
     payload = {
-        "seed": args.seed,
         "k": args.k,
         "exact": bool(args.exact),
         "pairs": results,
@@ -465,7 +464,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--k", type=int, default=10_000, help="sample budget (default 10000)")
     p.add_argument("--tolerance", type=float, default=None, help="cell size override")
-    p.add_argument("--seed", type=int, default=0, help="echoed in the output only")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--exact", action="store_true", help="use the exact even-odd polygon IoU")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -492,7 +490,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--iou-kind", choices=("piou-exact", "piou-mc", "biou"), default="piou-exact")
     p.add_argument("--k", type=int, default=10_000)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0, help="echoed in the output only")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)

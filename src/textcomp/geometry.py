@@ -18,17 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import BSpline
 
 __all__ = [
     "Point2",
     "ComponentQuad",
     "Polygon",
     "TextContour",
-    "BSplineCurve",
     "ComponentSequence",
-    "clamped_uniform_knots",
-    "bspline_basis",
-    "bspline_eval",
     "resample_side",
     "bezier_fit_side",
     "split_long_sides",
@@ -96,38 +93,6 @@ class TextContour:
 
 
 @dataclass
-class BSplineCurve:
-    """Clamped B-spline curve with explicit knot vector."""
-
-    control_points: np.ndarray
-    degree: int
-    knots: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.control_points = _as_points(self.control_points, "control_points", 2)
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        self.knots = np.asarray(self.knots, dtype=float)
-        if self.knots.ndim != 1:
-            raise ValueError("knots must be a 1D array")
-        if not np.isfinite(self.knots).all():
-            raise ValueError("knots contain non-finite values")
-        if (np.diff(self.knots) < 0).any():
-            raise ValueError("knots must be non-decreasing")
-        expected = len(self.control_points) + self.degree + 1
-        if len(self.knots) != expected:
-            raise ValueError(
-                f"knot count {len(self.knots)} does not match "
-                f"{len(self.control_points)} control points at degree {self.degree} "
-                f"(expected {expected})"
-            )
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[self.degree]), float(self.knots[len(self.control_points)])
-
-
-@dataclass
 class ComponentSequence:
     """Chain of quadrilateral components covering one text instance.
 
@@ -167,103 +132,6 @@ class ComponentSequence:
         return len(self.quads)
 
 
-def clamped_uniform_knots(n_control: int, degree: int) -> np.ndarray:
-    """Clamped knot vector on [0, 1]: ends repeated degree+1 times, interior uniform."""
-    if n_control < degree + 1:
-        raise ValueError(f"need at least {degree + 1} control points, got {n_control}")
-    interior = n_control - degree - 1
-    return np.concatenate(
-        [
-            np.zeros(degree + 1),
-            np.arange(1, interior + 1) / (interior + 1),
-            np.ones(degree + 1),
-        ]
-    )
-
-
-def bspline_basis(i: int, degree: int, u: float, knots) -> float:
-    """Basis function N_{i,degree}(u) by the Cox-de Boor recurrence.
-
-    Zero-length knot spans contribute nothing (0/0 terms are dropped). Spans
-    are half-open except that the final span of the knot range is closed on
-    the right, so clamped curves reach their last control point.
-    """
-    knots = np.asarray(knots, dtype=float)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if i < 0 or i + degree + 1 > len(knots) - 1:
-        raise ValueError(f"basis index {i} out of range for {len(knots)} knots at degree {degree}")
-    if degree == 0:
-        if knots[i] <= u < knots[i + 1]:
-            return 1.0
-        if u == knots[-1] and knots[i] < knots[i + 1] == knots[-1]:
-            return 1.0
-        return 0.0
-    left = 0.0
-    den_l = knots[i + degree] - knots[i]
-    if den_l > 0:
-        left = (u - knots[i]) / den_l * bspline_basis(i, degree - 1, u, knots)
-    right = 0.0
-    den_r = knots[i + degree + 1] - knots[i + 1]
-    if den_r > 0:
-        right = (knots[i + degree + 1] - u) / den_r * bspline_basis(i + 1, degree - 1, u, knots)
-    return left + right
-
-
-def _basis_matrix(knots: np.ndarray, degree: int, u: np.ndarray) -> np.ndarray:
-    """All basis values at each parameter: shape (len(u), n_control).
-
-    Bottom-up evaluation of the same recurrence as ``bspline_basis``; the two
-    agree bitwise because they evaluate the identical expression tree.
-    """
-    u = np.asarray(u, dtype=float)
-    n_spans = len(knots) - 1
-    right_end = knots[-1]
-    basis = np.zeros((n_spans, len(u)))
-    for j in range(n_spans):
-        lo, hi = knots[j], knots[j + 1]
-        if lo < hi:
-            inside = (u >= lo) & (u < hi)
-            if hi == right_end:
-                inside |= u == right_end
-            basis[j, inside] = 1.0
-    for r in range(1, degree + 1):
-        nxt = np.zeros((n_spans - r, len(u)))
-        for j in range(n_spans - r):
-            den_l = knots[j + r] - knots[j]
-            if den_l > 0:
-                nxt[j] += (u - knots[j]) / den_l * basis[j]
-            den_r = knots[j + r + 1] - knots[j + 1]
-            if den_r > 0:
-                nxt[j] += (knots[j + r + 1] - u) / den_r * basis[j + 1]
-        basis = nxt
-    return basis.T
-
-
-def bspline_eval(curve: BSplineCurve, u) -> np.ndarray:
-    """Evaluate the curve at parameter(s) u within its domain.
-
-    Scalar u gives a point of shape (2,); an array of parameters gives a
-    (len(u), 2) array.
-    """
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    lo, hi = curve.domain
-    if ((u_arr < lo) | (u_arr > hi)).any():
-        raise ValueError(f"parameter outside curve domain [{lo}, {hi}]")
-    pts = _basis_matrix(curve.knots, curve.degree, u_arr) @ curve.control_points
-    return pts[0] if scalar else pts
-
-
-def _side_curve(side: np.ndarray) -> BSplineCurve:
-    """Clamped B-spline with the side's vertices as control points.
-
-    Degree 3, lowered to len(side)-1 when the side has fewer than 4 vertices.
-    """
-    degree = min(3, len(side) - 1)
-    return BSplineCurve(side, degree, clamped_uniform_knots(len(side), degree))
-
-
 def _arc_length_params(eval_fn, breakpoints: np.ndarray, m: int) -> np.ndarray | None:
     """Parameters of m equal arc-length points via a dense polyline table.
 
@@ -288,19 +156,25 @@ def _arc_length_params(eval_fn, breakpoints: np.ndarray, m: int) -> np.ndarray |
 def resample_side(side, m: int) -> np.ndarray:
     """Resample a side into m points equally spaced along its B-spline fit.
 
-    The first and last output points coincide exactly with the side's
-    endpoints. m = 2 returns just the endpoints.
+    The fit is a clamped uniform B-spline with the side's vertices as control
+    points: degree 3, lowered to len(side)-1 when the side has fewer than 4
+    vertices. The first and last output points coincide exactly with the
+    side's endpoints. m = 2 returns just the endpoints.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    curve = _side_curve(side)
-    lo, hi = curve.domain
-    spans = np.unique(curve.knots[(curve.knots >= lo) & (curve.knots <= hi)])
-    params = _arc_length_params(lambda uu: bspline_eval(curve, uu), spans, m)
+    n = len(side)
+    degree = min(3, n - 1)
+    interior = np.arange(1, n - degree) / (n - degree)
+    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    curve = BSpline(knots, side, degree)
+    params = _arc_length_params(curve, np.concatenate([[0.0], interior, [1.0]]), m)
     if params is None:  # all vertices coincide
         return np.repeat(side[:1], m, axis=0)
-    return bspline_eval(curve, params)
+    pts = curve(params)
+    pts[[0, -1]] = side[[0, -1]]  # the evaluation can miss an endpoint by an ulp
+    return pts
 
 
 def _bezier_eval(ctrl: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -406,34 +280,25 @@ def split_long_sides(poly, format_hint: str | None = None) -> TextContour:
     turn = np.abs(np.arctan2(_cross(prev, edges), (prev * edges).sum(axis=1)))
     score = turn + np.roll(turn, -1)  # sharpness of edge i = turn at both its endpoints
 
-    def chain_len(first: int, last: int) -> float:
-        # polyline length from vertex first to vertex last (cyclic, inclusive)
-        k = first
-        total = 0.0
-        while k != last:
-            total += edge_len[k]
-            k = (k + 1) % n
-        return total
-
-    best_key, best_pair = None, None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges cannot bound two sides
-            la = chain_len((i + 1) % n, j)
-            lb = chain_len((j + 1) % n, i)
-            balance = min(la, lb) / max(la, lb)
-            key = (
-                round((score[i] + score[j]) * 1e9),
-                round(balance * 1e9),
-                -(edge_len[i] + edge_len[j]),
-            )
-            if best_key is None or key > best_key:
-                best_key, best_pair = key, (i, j)
-    i, j = best_pair
-    idx_a = [(i + 1 + k) % n for k in range((j - i - 1) % n + 1)]
-    idx_b = [(j + 1 + k) % n for k in range((i - j - 1) % n + 1)]
-    return TextContour(v[idx_a], v[idx_b][::-1])
+    # cum[k] is the polyline length from vertex 0 to vertex k
+    cum = np.concatenate([[0.0], np.cumsum(edge_len)])
+    i, j = np.triu_indices(n, 2)  # adjacent edges cannot bound two sides
+    keep = (i > 0) | (j < n - 1)
+    i, j = i[keep], j[keep]
+    la = cum[j] - cum[i + 1]  # vertex i+1 to vertex j
+    lb = cum[-1] - cum[j + 1] + cum[i]  # vertex j+1 round to vertex i
+    balance = np.minimum(la, lb) / np.maximum(la, lb)
+    # lexsort is stable, so ties go to the first pair in (i, j) order
+    best = np.lexsort(
+        (
+            edge_len[i] + edge_len[j],
+            -np.round(balance * 1e9),
+            -np.round((score[i] + score[j]) * 1e9),
+        )
+    )[0]
+    i, j = i[best], j[best]
+    ring = np.roll(v, -(i + 1), axis=0)  # starts at vertex i+1
+    return TextContour(ring[: j - i], ring[j - i :][::-1])
 
 
 def decompose(contour: TextContour, t: int, method: str = "bspline") -> ComponentSequence:

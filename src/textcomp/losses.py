@@ -25,7 +25,6 @@ __all__ = [
     "focal_loss",
     "psc_loss",
     "l1_loss",
-    "total_loss",
     "finite_diff_check",
 ]
 
@@ -148,17 +147,6 @@ def l1_loss(pred, target) -> LossValue:
     value = float(np.abs(diff).mean()) if diff.size else 0.0
     grad = np.sign(diff) / max(diff.size, 1)
     return LossValue(value, grad)
-
-
-def total_loss(tci_terms: tuple[float, float], dec_terms: tuple[float, float]) -> float:
-    """Total objective: classification + regression from both stages, unweighted."""
-    parts = [*tci_terms, *dec_terms]
-    if len(tci_terms) != 2 or len(dec_terms) != 2:
-        raise ValueError("each stage contributes a (classification, regression) pair")
-    for part in parts:
-        if not np.isfinite(part):
-            raise ValueError("loss terms must be finite")
-    return float(sum(parts))
 
 
 def finite_diff_check(loss_fn, x, epsilon: float = 1e-6) -> float:

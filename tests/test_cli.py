@@ -98,7 +98,7 @@ def test_piou_identical_pair_scores_one(tmp_path, capsys):
     )
     code, payload = run_json(capsys, ["piou", "--pairs", str(pairs)])
     assert code == 0
-    assert payload["seed"] == 0  # echoed even when defaulted
+    assert "seed" not in payload
     assert payload["pairs"][0]["value"] == 1.0
 
     code, payload = run_json(capsys, ["piou", "--pairs", str(pairs), "--exact"])
@@ -204,6 +204,14 @@ def test_eval_rejects_bad_threshold(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     write_jsonl([rect_record(score=1.0)], preds)
     assert run(["eval", "--preds", str(preds), "--gts", str(preds), "--iou", "1.5"]) == 1
+
+
+def test_eval_has_no_seed_flag(tmp_path, capsys):
+    # eval is deterministic; a --seed it would never read is a usage error.
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl([rect_record(score=1.0)], preds)
+    assert run(["eval", "--preds", str(preds), "--gts", str(preds), "--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- synth

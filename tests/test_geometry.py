@@ -1,4 +1,6 @@
-"""Curve evaluation, contour decomposition/assembly, and polygon primitives."""
+"""Side resampling and splitting, contour decomposition/assembly, and polygon primitives."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textcomp import (
-    BSplineCurve,
     ComponentSequence,
     Polygon,
+    RibbonParams,
     TextContour,
     assemble,
     bbox,
     bezier_fit_side,
-    bspline_basis,
-    bspline_eval,
-    clamped_uniform_knots,
     contour_polygon,
     decompose,
     gen_ribbon,
@@ -23,6 +22,7 @@ from textcomp import (
     is_simple,
     point_in_polygon,
     polygon_area,
+    read_jsonl,
     resample_side,
     split_long_sides,
 )
@@ -38,66 +38,47 @@ def rect_contour(width=60.0, height=10.0):
     )
 
 
-# ----------------------------------------------------------- knots and basis
-
-
-def test_clamped_uniform_knots_layout():
-    knots = clamped_uniform_knots(5, 3)
-    assert knots.tolist() == [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0]
-
-
-def test_clamped_uniform_knots_length():
-    for n, degree in [(4, 3), (7, 3), (5, 2), (2, 1)]:
-        assert len(clamped_uniform_knots(n, degree)) == n + degree + 1
-
-
-def test_basis_frozen_midspan_value():
-    # Independently computed by running the recurrence by hand: the second
-    # cubic basis function at u=0.4 on the single-interior-knot vector
-    # equals 52/125 exactly.
-    value = bspline_basis(1, 3, 0.4, [0, 0, 0, 0, 0.5, 1, 1, 1, 1])
-    assert value == pytest.approx(52 / 125, abs=1e-15)
-
-
-@given(
-    u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    n_control=st.integers(min_value=4, max_value=9),
-)
-@settings(max_examples=200, deadline=None)
-def test_basis_partition_of_unity(u, n_control):
-    knots = clamped_uniform_knots(n_control, 3)
-    total = sum(bspline_basis(i, 3, u, knots) for i in range(n_control))
-    assert abs(total - 1.0) <= 1e-12
-
-
-def test_eval_interpolates_endpoints_exactly():
-    rng = np.random.default_rng(4)
-    ctrl = rng.uniform(0.0, 100.0, (7, 2))
-    curve = BSplineCurve(ctrl, 3, clamped_uniform_knots(7, 3))
-    lo, hi = curve.domain
-    ends = bspline_eval(curve, [lo, hi])
-    assert np.array_equal(ends[0], ctrl[0])
-    assert np.array_equal(ends[1], ctrl[-1])
-
-
-def test_eval_collinear_control_points_stay_on_line():
-    ctrl = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [4.5, 0.0], [6.0, 0.0]])
-    curve = BSplineCurve(ctrl, 3, clamped_uniform_knots(5, 3))
-    pts = bspline_eval(curve, np.linspace(0.0, 1.0, 33))
-    assert np.all(np.abs(pts[:, 1]) <= 1e-12)
-    assert pts[:, 0].min() >= -1e-12 and pts[:, 0].max() <= 6.0 + 1e-12
-
-
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        BSplineCurve(np.zeros((4, 2)), 3, np.zeros(7))  # knot count mismatch
-    with pytest.raises(ValueError):
-        BSplineCurve(np.zeros((4, 2)), 0, np.zeros(5))  # degree too low
-    with pytest.raises(ValueError):
-        BSplineCurve(np.zeros((4, 2)), 3, [0, 0, 0, 1, 0, 1, 1, 1])  # decreasing
-
-
 # ------------------------------------------------------------------ resample
+
+
+def _basis_matrix(knots, degree, u):
+    """Cox-de Boor basis values, shape (len(u), n_control); the last span is closed."""
+    n_spans = len(knots) - 1
+    basis = np.zeros((n_spans, len(u)))
+    for j in range(n_spans):
+        lo, hi = knots[j], knots[j + 1]
+        if lo < hi:
+            inside = (u >= lo) & (u < hi)
+            if hi == knots[-1]:
+                inside |= u == knots[-1]
+            basis[j, inside] = 1.0
+    for r in range(1, degree + 1):
+        nxt = np.zeros((n_spans - r, len(u)))
+        for j in range(n_spans - r):
+            den_l = knots[j + r] - knots[j]
+            if den_l > 0:
+                nxt[j] += (u - knots[j]) / den_l * basis[j]
+            den_r = knots[j + r + 1] - knots[j + 1]
+            if den_r > 0:
+                nxt[j] += (knots[j + r + 1] - u) / den_r * basis[j + 1]
+        basis = nxt
+    return basis.T
+
+
+def _resample_oracle(side, m):
+    """Independent resampler: the same fit and arc-length table, evaluated by Cox-de Boor."""
+    n = len(side)
+    degree = min(3, n - 1)
+    interior = np.arange(1, n - degree) / (n - degree)
+    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    breaks = np.concatenate([[0.0], interior, [1.0]])
+    spans = [np.linspace(lo, hi, 1001) for lo, hi in zip(breaks, breaks[1:])]
+    params = np.concatenate([spans[0]] + [span[1:] for span in spans[1:]])
+    table = _basis_matrix(knots, degree, params) @ side
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(table, axis=0), axis=1))])
+    u = np.interp(np.linspace(0.0, cum[-1], m), cum, params)
+    return _basis_matrix(knots, degree, u) @ side
+
 
 
 def test_resample_straight_side_is_uniform():
@@ -112,6 +93,40 @@ def test_resample_chords_equal_on_smooth_side():
     pts = resample_side(side, 9)
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert np.allclose(chords, chords.mean(), rtol=1e-3)
+
+
+def test_resample_endpoints_are_exact():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        side = rng.uniform(-100.0, 100.0, (int(rng.integers(2, 61)), 2))
+        pts = resample_side(side, int(rng.integers(2, 12)))
+        assert np.array_equal(pts[0], side[0])
+        assert np.array_equal(pts[-1], side[-1])
+
+
+def test_resample_collinear_side_stays_on_its_line():
+    side = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [4.5, 0.0], [6.0, 0.0]])
+    pts = resample_side(side, 33)
+    assert np.all(np.abs(pts[:, 1]) <= 1e-12)
+    assert pts[:, 0].min() >= -1e-12 and pts[:, 0].max() <= 6.0 + 1e-12
+    assert (np.diff(pts[:, 0]) > 0.0).all()
+    direction = np.array([3.0, 4.0]) / 5.0
+    slanted = resample_side(np.array([7.0, -2.0]) + np.outer([0.0, 2.0, 2.5, 9.0], direction), 17)
+    offset = slanted - np.array([7.0, -2.0])
+    assert np.all(np.abs(offset[:, 0] * direction[1] - offset[:, 1] * direction[0]) <= 1e-12)
+
+
+def test_resample_matches_cox_de_boor_oracle():
+    # Sides of 2, 3 and 4+ vertices fit at degrees 1, 2 and 3.
+    rng = np.random.default_rng(8)
+    for n in [2, 3, 4, 5, 7, 14, 25, 50]:
+        for _ in range(3):
+            side = np.cumsum(rng.uniform(-5.0, 20.0, (n, 2)), axis=0)
+            for m in (2, 7, 30):
+                got = resample_side(side, m)
+                expected = _resample_oracle(side, m)
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 # --------------------------------------------------------- decompose/assemble
@@ -191,6 +206,78 @@ def test_assemble_averages_mismatched_junctions():
 
 
 # ---------------------------------------------------------- split_long_sides
+
+
+def _split_oracle(v):
+    """The pairwise search spelled out as loops: chain lengths summed edge by edge."""
+    n = len(v)
+    edges = np.roll(v, -1, axis=0) - v
+    edge_len = np.linalg.norm(edges, axis=1)
+    prev = np.roll(edges, 1, axis=0)
+    cross = prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0]
+    turn = np.abs(np.arctan2(cross, (prev * edges).sum(axis=1)))
+    score = turn + np.roll(turn, -1)
+
+    def chain_len(first, last):
+        k, total = first, 0.0
+        while k != last:
+            total += edge_len[k]
+            k = (k + 1) % n
+        return total
+
+    best_key, best_pair = None, None
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            la = chain_len((i + 1) % n, j)
+            lb = chain_len((j + 1) % n, i)
+            key = (
+                round((score[i] + score[j]) * 1e9),
+                round(min(la, lb) / max(la, lb) * 1e9),
+                -(edge_len[i] + edge_len[j]),
+            )
+            if best_key is None or key > best_key:
+                best_key, best_pair = key, (i, j)
+    i, j = best_pair
+    idx_a = [(i + 1 + k) % n for k in range((j - i - 1) % n + 1)]
+    idx_b = [(j + 1 + k) % n for k in range((i - j - 1) % n + 1)]
+    return v[idx_a], v[idx_b][::-1]
+
+
+def _assert_split_matches_oracle(vertices):
+    got = split_long_sides(Polygon(vertices))
+    side_a, side_b = _split_oracle(vertices)
+    assert np.array_equal(got.side_a, side_a)
+    assert np.array_equal(got.side_b, side_b)
+
+
+def test_split_matches_loop_oracle_on_ribbons():
+    for side_vertices in range(2, 50, 3):
+        for seed in range(2):
+            contour = gen_ribbon(seed, RibbonParams(side_vertices=side_vertices, curvature=0.012))
+            ring = contour_polygon(contour).vertices
+            for shift in (0, side_vertices // 2 + 1):
+                _assert_split_matches_oracle(np.roll(ring, -shift, axis=0))
+
+
+def test_split_ties_go_to_the_first_pair():
+    # Every edge pair of a square ties on all three keys; pair (0, 2) comes first.
+    square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+    _assert_split_matches_oracle(square)
+    got = split_long_sides(Polygon(square))
+    assert np.array_equal(got.side_a, square[1:3])
+    for n in (6, 8, 12):
+        angle = 2.0 * np.pi * np.arange(n) / n
+        _assert_split_matches_oracle(np.stack([np.cos(angle), np.sin(angle)], axis=1))
+
+
+def test_split_matches_loop_oracle_on_golden_file():
+    golden = Path(__file__).parent / "data" / "golden.jsonl"
+    for record in read_jsonl(golden):
+        for instance in record.instances:
+            _assert_split_matches_oracle(instance.polygon.vertices)
+
 
 
 def test_split_fixed_14pt_layout():

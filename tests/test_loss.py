@@ -14,7 +14,6 @@ from textcomp import (
     focal_loss,
     l1_loss,
     psc_loss,
-    total_loss,
 )
 
 # Scalar values computed by hand from the closed forms (alpha 0.25, gamma 2).
@@ -184,25 +183,6 @@ def test_l1_gradient_matches_finite_differences_away_from_ties():
 def test_l1_rejects_length_mismatch():
     with pytest.raises(ValueError):
         l1_loss(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-# ---------------------------------------------------------------- total_loss
-
-
-def test_total_loss_sums_components():
-    assert total_loss((0.0, 0.0), (0.0, 0.0)) == 0.0
-    assert total_loss((1.0, 2.0), (3.0, 4.0)) == 10.0
-
-
-def test_total_loss_random_terms():
-    rng = np.random.default_rng(6)
-    a, b, c, d = rng.uniform(0.0, 5.0, 4)
-    assert total_loss((a, b), (c, d)) == pytest.approx(a + b + c + d, rel=1e-12)
-
-
-def test_total_loss_rejects_non_finite():
-    with pytest.raises(ValueError):
-        total_loss((np.inf, 0.0), (0.0, 0.0))
 
 
 # --------------------------------------------------------- finite_diff_check

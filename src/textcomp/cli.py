@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import _as_sequence, evaluate
+from .evaluate import _IOU_KINDS, _as_sequence, _score_order, evaluate
 from .geometry import (
     ComponentSequence,
     assemble,
@@ -33,6 +34,7 @@ from .ingest import (
     AnnotationRecord,
     Instance,
     ParseError,
+    _json_objects,
     read_ctw1500,
     read_jsonl,
     record_from_dict,
@@ -150,22 +152,14 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_piou(args) -> int:
     rows = []
-    with open(args.pairs, "r", encoding="utf-8", newline="") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-            if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-                raise ParseError("each pair line needs objects 'a' and 'b'", lineno)
-            pair = []
-            for key in ("a", "b"):
-                wrapped = {"image": "", "instances": [obj[key]]}
-                pair.append(record_from_dict(wrapped, lineno).instances[0])
-            rows.append(pair)
+    for lineno, obj in _json_objects(args.pairs):
+        if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
+            raise ParseError("each pair line needs objects 'a' and 'b'", lineno)
+        pair = []
+        for key in ("a", "b"):
+            wrapped = {"image": "", "instances": [obj[key]]}
+            pair.append(record_from_dict(wrapped, lineno).instances[0])
+        rows.append(pair)
 
     config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
     results = []
@@ -216,10 +210,7 @@ def _cmd_match(args) -> int:
         pred_instances = pred_records[image].instances if image in pred_records else []
         gt_instances = gt_records[image].instances if image in gt_records else []
         if len(pred_instances) > args.n_max:
-            order = np.argsort(
-                [-(1.0 if p.score is None else p.score) for p in pred_instances],
-                kind="stable",
-            )[: args.n_max]
+            order = _score_order(pred_instances)[: args.n_max]
             pred_instances = [pred_instances[i] for i in sorted(order)]
         preds = [_scored_sequence(p, args.t) for p in pred_instances]
         gts = [_as_sequence(g, args.t) for g in gt_instances]
@@ -444,6 +435,10 @@ def _add_common_io(parser, infile_flag="--in", needs_out_default=None):
     parser.add_argument("--out", default=needs_out_default, help="output path (default stdout)")
 
 
+# Built once: building costs about as much as an eval op, and each discarded
+# parser is a cyclic graph that forces full garbage collections in callers
+# that run many commands in one process.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="textcomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -487,7 +482,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gts", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--iou-kind", choices=("piou-exact", "piou-mc", "biou"), default="piou-exact")
+    p.add_argument("--iou-kind", choices=_IOU_KINDS, default="piou-exact")
     p.add_argument("--k", type=int, default=10_000)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--t", type=int, default=6)
@@ -539,10 +534,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        sys.stderr.write(f"textcomp: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(f"textcomp: {exc}\n")
         return 1
     except Exception as exc:  # noqa: BLE001 - surfaced as internal failure

@@ -12,6 +12,10 @@ threshold is with an ignored instance.
 
 Overlap kinds: the sequence-sampling estimate ("piou-mc"), the exact
 even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
+Instances whose bounding boxes are strictly apart on some axis overlap 0
+under every kind; the kernel is not called for them. Under "piou-mc" every
+instance is decomposed up front, so an outline that cannot be split into
+two sides raises ValueError even when nothing is compared with it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ComponentSequence, Polygon, decompose, split_long_sides
+from .geometry import ComponentSequence, decompose, split_long_sides
 from .ingest import AnnotationRecord, Instance
 from .piou import PIoUConfig, biou, piou_exact, piou_mc
 
@@ -50,23 +54,24 @@ def _as_sequence(inst: Instance, t: int) -> ComponentSequence:
     return decompose(split_long_sides(inst.polygon), t)
 
 
-def _make_overlap(iou_kind: str, config: PIoUConfig | None, t: int):
-    if iou_kind == "biou":
-        return lambda a, b: biou(a.polygon, b.polygon)
-    if iou_kind == "piou-exact":
-        return lambda a, b: piou_exact(a.polygon, b.polygon)
+def _kernel_inputs(instances: list[Instance], iou_kind: str, t: int):
+    """What the overlap kernel compares for each instance, and its (lo, hi) boxes."""
     if iou_kind == "piou-mc":
-        cfg = config or PIoUConfig()
-        cache: dict[int, ComponentSequence] = {}
+        shapes = [_as_sequence(inst, t) for inst in instances]
+        points = [seq.quads.reshape(-1, 2) for seq in shapes]
+    else:
+        shapes = [inst.polygon for inst in instances]
+        points = [poly.vertices for poly in shapes]
+    boxes = np.array([(pts.min(axis=0), pts.max(axis=0)) for pts in points]).reshape(-1, 2, 2)
+    return shapes, boxes
 
-        def overlap(a: Instance, b: Instance) -> float:
-            for inst in (a, b):
-                if id(inst) not in cache:
-                    cache[id(inst)] = _as_sequence(inst, t)
-            return piou_mc(cache[id(a)], cache[id(b)], cfg).value
 
-        return overlap
-    raise ValueError(f"unknown iou_kind {iou_kind!r}; expected one of {_IOU_KINDS}")
+def _overlap(iou_kind: str, pred, gt, config: PIoUConfig | None) -> float:
+    if iou_kind == "piou-mc":
+        return piou_mc(pred, gt, config).value
+    if iou_kind == "piou-exact":
+        return piou_exact(pred, gt)
+    return biou(pred, gt)
 
 
 def _score_order(instances: list[Instance]) -> list[int]:
@@ -90,7 +95,8 @@ def evaluate(
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
-    overlap = _make_overlap(iou_kind, config, t)
+    if iou_kind not in _IOU_KINDS:
+        raise ValueError(f"unknown iou_kind {iou_kind!r}; expected one of {_IOU_KINDS}")
     preds_by_image = {r.image: r.instances for r in pred_records}
     gts_by_image = {r.image: r.instances for r in gt_records}
     images = list(dict.fromkeys([*gts_by_image, *preds_by_image]))
@@ -100,27 +106,26 @@ def evaluate(
     for image in images:
         preds = preds_by_image.get(image, [])
         gts = gts_by_image.get(image, [])
-        live = [g for g in gts if not g.ignore]
-        ignored = [g for g in gts if g.ignore]
-        claimed = [False] * len(live)
+        pred_shapes, pred_boxes = _kernel_inputs(preds, iou_kind, t)
+        gt_shapes, gt_boxes = _kernel_inputs(gts, iou_kind, t)
+        apart = (
+            (pred_boxes[:, None, 1] < gt_boxes[None, :, 0])
+            | (gt_boxes[None, :, 1] < pred_boxes[:, None, 0])
+        ).any(axis=2)
+        ignored = np.array([g.ignore for g in gts], dtype=bool)
+        claimed = np.zeros(len(gts), dtype=bool)
         img_tp = img_fp = 0
         for pi in _score_order(preds):
-            pred = preds[pi]
-            best_iou, best_j = 0.0, -1
-            for j, gt in enumerate(live):
-                if claimed[j]:
-                    continue
-                value = overlap(pred, gt)
-                if value > best_iou:
-                    best_iou, best_j = value, j
-            if best_j >= 0 and best_iou >= iou_threshold:
-                claimed[best_j] = True
+            row = np.zeros(len(gts))
+            for j in np.flatnonzero(~(apart[pi] | claimed)):
+                row[j] = _overlap(iou_kind, pred_shapes[pi], gt_shapes[j], config)
+            unclaimed = np.where(ignored | claimed, -1.0, row)
+            if unclaimed.size and unclaimed.max() >= iou_threshold:
+                claimed[unclaimed.argmax()] = True
                 img_tp += 1
-                continue
-            if any(overlap(pred, gt) >= iou_threshold for gt in ignored):
-                continue
-            img_fp += 1
-        img_fn = claimed.count(False)
+            elif not (row[ignored] >= iou_threshold).any():
+                img_fp += 1
+        img_fn = int((~ignored & ~claimed).sum())
         per_image[image] = {"tp": img_tp, "fp": img_fp, "fn": img_fn}
         tp, fp, fn = tp + img_tp, fp + img_fp, fn + img_fn
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -210,9 +210,8 @@ def record_to_dict(record: AnnotationRecord) -> dict:
     return {"image": record.image, "instances": out_instances}
 
 
-def read_jsonl(path: str | Path) -> list[AnnotationRecord]:
-    """Read records from a line-delimited JSON file; blank lines are skipped."""
-    records: list[AnnotationRecord] = []
+def _json_objects(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, parsed value) per non-blank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
@@ -222,8 +221,12 @@ def read_jsonl(path: str | Path) -> list[AnnotationRecord]:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-            records.append(record_from_dict(obj, lineno))
-    return records
+            yield lineno, obj
+
+
+def read_jsonl(path: str | Path) -> list[AnnotationRecord]:
+    """Read records from a line-delimited JSON file; blank lines are skipped."""
+    return [record_from_dict(obj, lineno) for lineno, obj in _json_objects(path)]
 
 
 def write_jsonl(records: Iterable[AnnotationRecord], path: str | Path) -> None:

@@ -127,10 +127,7 @@ def psc_loss(pos_scores, pos_pious, neg_scores, params: LossParams | None = None
         params.gamma * np.abs(gap) ** (params.gamma - 1.0) * np.sign(-gap) * bce
         + np.abs(gap) ** params.gamma * bce_grad
     )
-    neg_val = cn**params.gamma * -_log(1.0 - cn)
-    neg_grad = params.gamma * cn ** (params.gamma - 1.0) * -_log(1.0 - cn) + cn**params.gamma / np.maximum(
-        1.0 - cn, EPSILON
-    )
+    neg_val, neg_grad = _focal_terms(cn, np.False_, 0.0, params.gamma)
     value = float(pos_val.sum() + neg_val.sum())
     return LossValue(value, np.concatenate([pos_grad, neg_grad]))
 

@@ -127,6 +127,17 @@ def test_piou_malformed_pair_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_piou_invalid_json_names_its_line(tmp_path, capsys):
+    polygon = [[0.0, 0.0], [60.0, 0.0], [60.0, 10.0], [0.0, 10.0]]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n{not json\n",
+        encoding="utf-8",
+    )
+    assert run(["piou", "--pairs", str(pairs)]) == 1
+    assert "line 2: invalid JSON" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- match
 
 
@@ -212,6 +223,19 @@ def test_eval_has_no_seed_flag(tmp_path, capsys):
     write_jsonl([rect_record(score=1.0)], preds)
     assert run(["eval", "--preds", str(preds), "--gts", str(preds), "--seed", "1"]) == 1
     assert "--seed" in capsys.readouterr().err
+
+
+def test_eval_mc_rejects_unsplittable_truth_without_predictions(tmp_path, capsys):
+    # Every instance is converted up front, so a triangle fails the run even
+    # though no prediction would be compared with it.
+    preds = tmp_path / "preds.jsonl"
+    gts = tmp_path / "gts.jsonl"
+    write_jsonl([], preds)
+    triangle = Polygon(np.array([[0.0, 0.0], [60.0, 0.0], [30.0, 10.0]]))
+    write_jsonl([AnnotationRecord(image="img", instances=[Instance(polygon=triangle)])], gts)
+    argv = ["eval", "--preds", str(preds), "--gts", str(gts), "--iou-kind", "piou-mc"]
+    assert run(argv) == 1
+    assert "at least 4 vertices" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- synth

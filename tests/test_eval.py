@@ -1,5 +1,7 @@
 """Precision/recall/F-measure protocol: conventions, matching, and kinds."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,21 @@ from textcomp import (
     Instance,
     PIoUConfig,
     Polygon,
+    assemble,
+    biou,
     contour_polygon,
     decompose,
     evaluate,
     gen_ribbon,
+    gen_scene,
+    perturb,
+    piou_exact,
+    piou_mc,
 )
+from textcomp.evaluate import _as_sequence, _score_order
+
+# The package re-exports the function evaluate under the submodule's name.
+evaluate_module = importlib.import_module("textcomp.evaluate")
 
 
 def rect(x0, y0, width=60.0, height=10.0):
@@ -224,3 +236,174 @@ def test_rates_always_within_unit_interval():
         report = evaluate(preds, gts)
         for value in (report.precision, report.recall, report.f_measure):
             assert 0.0 <= value <= 1.0
+
+
+# ------------------------------------------------- the per-pair loop oracle
+
+
+def _oracle_per_image(pred_records, gt_records, iou_threshold, iou_kind, config, t=6):
+    """The per-pair greedy loop that evaluate used before its row form.
+
+    Each unclaimed live truth is scored against the prediction one pair at a
+    time, then the ignored truths in a second pass; no box test is made.
+    """
+    cache = {}
+
+    def overlap(a, b):
+        if iou_kind == "biou":
+            return biou(a.polygon, b.polygon)
+        if iou_kind == "piou-exact":
+            return piou_exact(a.polygon, b.polygon)
+        for inst in (a, b):
+            if id(inst) not in cache:
+                cache[id(inst)] = _as_sequence(inst, t)
+        return piou_mc(cache[id(a)], cache[id(b)], config).value
+
+    preds_by_image = {r.image: r.instances for r in pred_records}
+    gts_by_image = {r.image: r.instances for r in gt_records}
+    per_image = {}
+    for image in dict.fromkeys([*gts_by_image, *preds_by_image]):
+        preds = preds_by_image.get(image, [])
+        gts = gts_by_image.get(image, [])
+        live = [g for g in gts if not g.ignore]
+        ignored = [g for g in gts if g.ignore]
+        claimed = [False] * len(live)
+        img_tp = img_fp = 0
+        for pi in _score_order(preds):
+            pred = preds[pi]
+            best_iou, best_j = 0.0, -1
+            for j, gt in enumerate(live):
+                if claimed[j]:
+                    continue
+                value = overlap(pred, gt)
+                if value > best_iou:
+                    best_iou, best_j = value, j
+            if best_j >= 0 and best_iou >= iou_threshold:
+                claimed[best_j] = True
+                img_tp += 1
+                continue
+            if any(overlap(pred, gt) >= iou_threshold for gt in ignored):
+                continue
+            img_fp += 1
+        per_image[image] = {"tp": img_tp, "fp": img_fp, "fn": claimed.count(False)}
+    return per_image
+
+
+def _oracle_scenes(seed):
+    """Crowded seeded scenes: ignored truths, near-duplicates, a distractor,
+    tied and missing scores, an image without truths and one without
+    predictions, and one with neither."""
+    rng = np.random.default_rng(seed)
+    canvas = (360.0, 260.0)
+    contours = gen_scene(seed, 6, canvas)
+    gts = [Instance(polygon=contour_polygon(c), ignore=bool(rng.random() < 0.3)) for c in contours]
+    preds = []
+    for j, contour in enumerate([*contours, *gen_scene(seed + 1000, 1, canvas)]):
+        for copy in range(1 + int(rng.random() < 0.3)):
+            if rng.random() < 0.2:
+                continue
+            seq = perturb(contour, float(rng.uniform(0.5, 12.0)), seed * 100 + 10 * j + copy)
+            preds.append(
+                Instance(
+                    polygon=assemble(seq),
+                    score=[0.9, 0.5, 0.5, None][int(rng.integers(4))],
+                    components=seq.quads if rng.random() < 0.5 else None,
+                )
+            )
+    lone = [Instance(polygon=contour_polygon(c)) for c in gen_scene(seed + 2000, 2, canvas)]
+    pred_records = [
+        AnnotationRecord("scene", preds),
+        AnnotationRecord("no-truths", preds[:3]),
+        AnnotationRecord("empty", []),
+    ]
+    gt_records = [
+        AnnotationRecord("scene", gts),
+        AnnotationRecord("no-predictions", lone),
+        AnnotationRecord("empty", []),
+    ]
+    return pred_records, gt_records
+
+
+@pytest.mark.parametrize(
+    "iou_kind, seeds",
+    [("piou-exact", range(8)), ("biou", range(8)), ("piou-mc", range(3))],
+)
+def test_row_form_matches_per_pair_loop_oracle(iou_kind, seeds):
+    # 4 px cells are dense at 2000 samples, so piou-mc values span the thresholds.
+    config = PIoUConfig(k_samples=2000, tolerance=4.0)
+    totals = np.zeros(3, dtype=int)
+    for seed in seeds:
+        pred_records, gt_records = _oracle_scenes(seed)
+        for threshold in (0.3, 0.5, 0.7):
+            report = evaluate(pred_records, gt_records, threshold, iou_kind, config)
+            expected = _oracle_per_image(pred_records, gt_records, threshold, iou_kind, config)
+            assert report.per_image == expected, (seed, threshold)
+            totals += [report.true_positives, report.false_positives, report.false_negatives]
+    assert (totals > 0).all()  # the scenes exercise every decision
+
+
+def test_strictly_apart_zero_area_outlines_do_not_match():
+    # piou_exact scores two zero-area outlines 1.0 wherever they are; boxes
+    # 100 px apart must still overlap 0.
+    line = Polygon(np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0]]))
+    far = Polygon(line.vertices + [100.0, 0.0])
+    assert piou_exact(far, line) == 1.0
+    preds = [record("img", Instance(polygon=far, score=1.0))]
+    report = evaluate(preds, [record("img", Instance(polygon=line))])
+    assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
+
+
+def test_strictly_apart_slivers_do_not_match_under_piou_mc():
+    # A 0.05 px gap is finer than the 0.3 px cells, so both slivers fill the
+    # same cell row and piou_mc scores them 1.0; their boxes are apart.
+    config = PIoUConfig(tolerance=0.3)
+    gt = Instance(polygon=rect(0.0, 0.0, height=0.1))
+    pred = Instance(polygon=rect(0.0, 0.15, height=0.1), score=1.0)
+    assert piou_mc(_as_sequence(pred, 6), _as_sequence(gt, 6), config).value == 1.0
+    report = evaluate([record("img", pred)], [record("img", gt)], iou_kind="piou-mc", config=config)
+    assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
+
+
+def test_strictly_apart_pairs_never_reach_the_kernel(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((tuple(a.vertices[0]), tuple(b.vertices[0])))
+        return piou_exact(a, b)
+
+    monkeypatch.setattr(evaluate_module, "piou_exact", counting)
+    gts = [
+        Instance(polygon=rect(0, 0)),
+        Instance(polygon=rect(200, 0)),  # apart in x from both predictions
+        Instance(polygon=rect(62, 0)),  # touches the second prediction's box
+        Instance(polygon=rect(0, 40), ignore=True),  # apart in y
+        Instance(polygon=rect(0, 10), ignore=True),  # touches both boxes
+    ]
+    preds = [Instance(polygon=rect(0, 0), score=0.9), Instance(polygon=rect(2, 0), score=0.5)]
+    report = evaluate([record("img", *preds)], [record("img", *gts)])
+    assert report.per_image["img"] == {"tp": 1, "fp": 1, "fn": 2}
+    # The first prediction claims rect(0, 0), which the second never sees.
+    assert calls == [
+        ((0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (0.0, 10.0)),
+        ((2.0, 0.0), (62.0, 0.0)),
+        ((2.0, 0.0), (0.0, 10.0)),
+    ]
+
+
+def test_piou_mc_converts_every_truth_up_front():
+    triangle = Polygon(np.array([[0.0, 0.0], [60.0, 0.0], [30.0, 10.0]]))
+    gts = [record("img", Instance(polygon=triangle))]
+    with pytest.raises(ValueError, match="at least 4 vertices"):
+        evaluate([record("img")], gts, iou_kind="piou-mc")
+    assert evaluate([record("img")], gts).per_image["img"] == {"tp": 0, "fp": 0, "fn": 1}
+
+
+def test_overlap_exactly_at_the_threshold_claims_and_discards():
+    # rect(20, 0) covers 40 of the 80 px spanned with rect(0, 0): IoU 0.5.
+    assert piou_exact(rect(20, 0), rect(0, 0)) == 0.5
+    preds = [record("img", Instance(polygon=rect(20, 0), score=1.0))]
+    claimed, discarded = {"tp": 1, "fp": 0, "fn": 0}, {"tp": 0, "fp": 0, "fn": 0}
+    for ignore, counts in ((False, claimed), (True, discarded)):
+        gts = [record("img", Instance(polygon=rect(0, 0), ignore=ignore))]
+        assert evaluate(preds, gts, iou_threshold=0.5).per_image["img"] == counts

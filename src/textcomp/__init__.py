@@ -11,20 +11,15 @@ annotation I/O, and a command-line front end.
 from .evaluate import EvalReport, evaluate
 from .frames import FrameGrid, InstancePrediction, from_frames, to_frames
 from .geometry import (
-    ComponentQuad,
     ComponentSequence,
-    Point2,
     Polygon,
     TextContour,
     assemble,
-    bbox,
     bezier_fit_side,
     contour_polygon,
     decompose,
     has_shared_edges,
     is_simple,
-    point_in_polygon,
-    polygon_area,
     resample_side,
     split_long_sides,
 )
@@ -54,7 +49,6 @@ from .matching import (
     MatchResult,
     hungarian,
     match_sequences,
-    seq_match_cost,
 )
 from .piou import PIoUConfig, PIoUEstimate, biou, piou_exact, piou_mc, quantize, sample_interior
 from .synth import GenerationError, RibbonParams, gen_ribbon, gen_scene, perturb
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotationRecord",
     "CapacityError",
-    "ComponentQuad",
     "ComponentSequence",
     "EPSILON",
     "EvalReport",
@@ -79,13 +72,11 @@ __all__ = [
     "PIoUConfig",
     "PIoUEstimate",
     "ParseError",
-    "Point2",
     "Polygon",
     "RibbonParams",
     "SchemaError",
     "TextContour",
     "assemble",
-    "bbox",
     "bezier_fit_side",
     "biou",
     "contour_polygon",
@@ -104,8 +95,6 @@ __all__ = [
     "perturb",
     "piou_exact",
     "piou_mc",
-    "point_in_polygon",
-    "polygon_area",
     "psc_loss",
     "quantize",
     "read_ctw1500",
@@ -114,7 +103,6 @@ __all__ = [
     "record_to_dict",
     "resample_side",
     "sample_interior",
-    "seq_match_cost",
     "split_long_sides",
     "to_frames",
     "write_jsonl",

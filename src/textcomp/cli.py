@@ -70,7 +70,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _emit(payload: dict, fmt: str, out: str | None, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
-        _write_output(json.dumps(payload, indent=2), out)
+        _write_output(json.dumps(payload, indent=2, allow_nan=False), out)
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

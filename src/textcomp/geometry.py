@@ -4,8 +4,7 @@ A text region is bounded by two long sides (``TextContour``). Each side is
 fitted with a clamped B-spline over its annotated vertices, resampled into
 equal arc-length points, and the two resampled sides are zipped into a chain
 of quadrilateral components (``ComponentSequence``). ``assemble`` closes a
-sequence back into a polygon. Plain polygon predicates (area, containment,
-simplicity) live here too so the rest of the package has one geometry home.
+sequence back into a polygon. ``is_simple`` tests an outline for self-crossings.
 
 Conventions: points are float64 arrays of shape (2,), point lists are arrays
 of shape (n, 2). Quad corners are ordered top-left, top-right, bottom-right,
@@ -21,8 +20,6 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 __all__ = [
-    "Point2",
-    "ComponentQuad",
     "Polygon",
     "TextContour",
     "ComponentSequence",
@@ -33,15 +30,8 @@ __all__ = [
     "assemble",
     "contour_polygon",
     "has_shared_edges",
-    "polygon_area",
-    "bbox",
-    "point_in_polygon",
     "is_simple",
 ]
-
-# Type aliases; these carry shape conventions, not behaviour.
-Point2 = np.ndarray  # shape (2,)
-ComponentQuad = np.ndarray  # shape (4, 2), corners TL, TR, BR, BL
 
 # Segments per knot span when tabulating arc length for resampling.
 TABLE_SEGMENTS_PER_SPAN = 1000
@@ -99,13 +89,11 @@ class ComponentSequence:
     quads has shape (t, 4, 2). Ground-truth chains share edges exactly:
     quads[i][1] == quads[i+1][0] and quads[i][2] == quads[i+1][3]; predicted
     chains may violate this and are reconciled by ``assemble``. scores, when
-    present, holds one confidence per component. label is "text" for real
-    instances and "empty" for padding targets in matching.
+    present, holds one confidence per component.
     """
 
     quads: np.ndarray
     scores: np.ndarray | None = None
-    label: str = "text"
 
     def __post_init__(self) -> None:
         self.quads = np.asarray(self.quads, dtype=float)
@@ -125,8 +113,6 @@ class ComponentSequence:
                 raise ValueError("scores contain non-finite values")
             if ((self.scores < 0) | (self.scores > 1)).any():
                 raise ValueError("scores must lie in [0, 1]")
-        if self.label not in ("text", "empty"):
-            raise ValueError(f"label must be 'text' or 'empty', got {self.label!r}")
 
     def __len__(self) -> int:
         return len(self.quads)
@@ -319,7 +305,7 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
     else:
         raise ValueError(f"unknown resampling method {method!r}")
     quads = np.stack([a[:-1], a[1:], b[1:], b[:-1]], axis=1)
-    return ComponentSequence(quads=quads, scores=None, label="text")
+    return ComponentSequence(quads=quads, scores=None)
 
 
 def assemble(seq: ComponentSequence) -> Polygon:
@@ -355,44 +341,6 @@ def has_shared_edges(seq: ComponentSequence, tol: float = 1e-6) -> bool:
     top = np.abs(q[:-1, 1] - q[1:, 0]).max()
     bot = np.abs(q[:-1, 2] - q[1:, 3]).max()
     return bool(max(top, bot) <= tol)
-
-
-def polygon_area(poly) -> float:
-    """Signed shoelace area; positive for counter-clockwise vertex order."""
-    v = _poly_vertices(poly)
-    w = np.roll(v, -1, axis=0)
-    return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
-
-
-def bbox(poly) -> tuple[float, float, float, float]:
-    """Axis-aligned bounding box (min_x, min_y, max_x, max_y)."""
-    v = _poly_vertices(poly)
-    mn, mx = v.min(axis=0), v.max(axis=0)
-    return float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1])
-
-
-def point_in_polygon(poly, point) -> bool:
-    """Even-odd containment test; boundary points count as inside."""
-    v = _poly_vertices(poly)
-    p = np.asarray(point, dtype=float)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    # boundary: point collinear with an edge and within its extent
-    d = _cross(b - a, p - a)
-    scale = max(1.0, float(np.abs(v).max()))
-    near = np.abs(d) <= 1e-12 * scale * scale
-    if near.any():
-        lo = np.minimum(a, b) - 1e-12 * scale
-        hi = np.maximum(a, b) + 1e-12 * scale
-        inside_box = ((p >= lo) & (p <= hi)).all(axis=1)
-        if (near & inside_box).any():
-            return True
-    ya, yb = a[:, 1], b[:, 1]
-    straddles = (ya > p[1]) != (yb > p[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = a[:, 0] + (p[1] - ya) / (yb - ya) * (b[:, 0] - a[:, 0])
-    crossings = straddles & (p[0] < x_hit)
-    return bool(crossings.sum() % 2 == 1)
 
 
 def is_simple(poly) -> bool:

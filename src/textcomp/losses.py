@@ -73,19 +73,25 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _focal_terms(scores: np.ndarray, positive: np.ndarray, alpha: float, gamma: float):
-    """Per-element focal values and d(value)/d(score)."""
+    """Per-element focal values and d(value)/d(score).
+
+    q is the probability the score gives the target class, r = 1 - q, and
+    the weight is alpha (positive) or 1 - alpha (background). r**(gamma - 1)
+    is formed only where q < 1; at q == 1 its product with log(q) tends to 0
+    for every gamma >= 0, because log(q) ~ -r.
+    """
     p = scores
-    pos_val = -alpha * (1.0 - p) ** gamma * _log(p)
-    pos_grad = alpha * gamma * (1.0 - p) ** (gamma - 1.0) * _log(p) - alpha * (
-        1.0 - p
-    ) ** gamma / np.maximum(p, EPSILON)
-    neg_val = -(1.0 - alpha) * p**gamma * _log(1.0 - p)
-    neg_grad = -(1.0 - alpha) * gamma * p ** (gamma - 1.0) * _log(1.0 - p) + (
-        1.0 - alpha
-    ) * p**gamma / np.maximum(1.0 - p, EPSILON)
-    value = np.where(positive, pos_val, neg_val)
-    grad = np.where(positive, pos_grad, neg_grad)
-    return value, grad
+    one_minus_p = 1.0 - p
+    q = np.where(positive, p, one_minus_p)
+    r = np.where(positive, one_minus_p, p)
+    w = np.where(positive, alpha, 1.0 - alpha)
+    log_q = _log(q)
+    r_gamma = r**gamma
+    value = -w * r_gamma * log_q
+    r_slope = np.power(r, gamma - 1.0, out=np.zeros_like(r), where=q < 1.0)
+    a = w * gamma * r_slope * log_q
+    b = w * r_gamma / np.maximum(q, EPSILON)
+    return value, np.where(positive, a - b, b - a)
 
 
 def focal_loss(scores, positive, alpha: float = 0.25, gamma: float = 2.0) -> LossValue:
@@ -120,12 +126,16 @@ def psc_loss(pos_scores, pos_pious, neg_scores, params: LossParams | None = None
         )
     q = s**params.alpha
     gap = q - cp
+    abs_gap = np.abs(gap)
     bce = -(q * _log(cp) + (1.0 - q) * _log(1.0 - cp))
-    pos_val = np.abs(gap) ** params.gamma * bce
+    pos_val = abs_gap**params.gamma * bce
     bce_grad = -q / np.maximum(cp, EPSILON) + (1.0 - q) / np.maximum(1.0 - cp, EPSILON)
+    # At gap == 0 sign(-gap) picks the subgradient 0; the power is left at 0
+    # there so that gamma < 1 does not turn it into 0 * inf.
+    gap_slope = np.power(abs_gap, params.gamma - 1.0, out=np.zeros_like(abs_gap), where=gap != 0)
     pos_grad = (
-        params.gamma * np.abs(gap) ** (params.gamma - 1.0) * np.sign(-gap) * bce
-        + np.abs(gap) ** params.gamma * bce_grad
+        params.gamma * gap_slope * np.sign(-gap) * bce
+        + abs_gap**params.gamma * bce_grad
     )
     neg_val, neg_grad = _focal_terms(cn, np.False_, 0.0, params.gamma)
     value = float(pos_val.sum() + neg_val.sum())

@@ -22,7 +22,6 @@ __all__ = [
     "MatchParams",
     "MatchResult",
     "CapacityError",
-    "seq_match_cost",
     "hungarian",
     "match_sequences",
 ]
@@ -65,32 +64,6 @@ def _pred_scores(pred: ComponentSequence) -> np.ndarray:
     return pred.scores
 
 
-def seq_match_cost(
-    pred: ComponentSequence, gt: ComponentSequence, params: MatchParams | None = None
-) -> float:
-    """Matching cost between one prediction and one target sequence.
-
-    Classification: focal loss of the per-frame scores against positive
-    targets (real text) or background targets (an "empty" entry). Regression:
-    for real text only, the mean absolute difference of the eight corner
-    coordinates, averaged within each frame and summed over frames.
-    """
-    params = params or MatchParams()
-    scores = _pred_scores(pred)
-    positive = gt.label != "empty"
-    cls_terms, _ = _focal_terms(scores, positive, params.focal_alpha, params.focal_gamma)
-    cost = params.cls_weight * float(cls_terms.sum())
-    if positive:
-        if gt.quads.shape != pred.quads.shape:
-            raise ValueError(
-                "prediction and target must have the same component count, "
-                f"got {pred.quads.shape[0]} and {gt.quads.shape[0]}"
-            )
-        per_frame = np.abs(pred.quads - gt.quads).reshape(len(pred.quads), -1).mean(axis=1)
-        cost += params.reg_weight * float(per_frame.sum())
-    return cost
-
-
 def hungarian(cost: np.ndarray) -> MatchResult:
     """Minimum-cost perfect assignment on a square cost matrix."""
     cost = np.asarray(cost, dtype=float)
@@ -109,6 +82,7 @@ def hungarian(cost: np.ndarray) -> MatchResult:
 def _cost_matrix(
     preds: list[ComponentSequence], gts: list[ComponentSequence], params: MatchParams
 ) -> np.ndarray:
+    """Padded (n, n) pair costs; columns from len(gts) on are background."""
     n = len(preds)
     scores = np.stack([_pred_scores(p) for p in preds])  # (n, t)
     pos_terms, _ = _focal_terms(scores, np.True_, params.focal_alpha, params.focal_gamma)
@@ -143,9 +117,6 @@ def match_sequences(
     counts = {len(s.quads) for s in preds} | {len(s.quads) for s in gts}
     if len(counts) > 1:
         raise ValueError(f"sequences must share one component count, got {sorted(counts)}")
-    real = [g for g in gts if g.label != "empty"]
-    if len(real) != len(gts):
-        raise ValueError('targets must be real text; padding is added internally')
     cost = _cost_matrix(preds, gts, params)
     result = hungarian(cost)
     result.assignment = {

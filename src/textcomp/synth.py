@@ -123,7 +123,6 @@ def perturb(
     return ComponentSequence(
         quads=seq.quads + jitter,
         scores=np.full(len(seq.quads), score),
-        label="text",
     )
 
 

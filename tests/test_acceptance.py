@@ -235,7 +235,6 @@ def test_frame_grid_round_trip_at_scale():
             ComponentSequence(
                 quads=rng.uniform(0.0, 1000.0, (6, 4, 2)),
                 scores=rng.uniform(0.0, 1.0, 6),
-                label="text",
             )
             for _ in range(n)
         ]

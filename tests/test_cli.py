@@ -138,6 +138,23 @@ def test_piou_invalid_json_names_its_line(tmp_path, capsys):
     assert "line 2: invalid JSON" in capsys.readouterr().err
 
 
+def test_piou_non_finite_value_fails_without_printing_json(tmp_path, capsys):
+    # A square at 1e300 overflows the exact kernel to NaN. Strict JSON has no
+    # NaN, so the run reports an input error and writes nothing to stdout.
+    polygon = [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n",
+        encoding="utf-8",
+    )
+    with np.errstate(all="ignore"):
+        code = run(["piou", "--pairs", str(pairs), "--exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "JSON" in captured.err
+
+
 # --------------------------------------------------------------------- match
 
 

@@ -1,4 +1,4 @@
-"""Side resampling and splitting, contour decomposition/assembly, and polygon primitives."""
+"""Side resampling and splitting, contour decomposition/assembly, and the simplicity check."""
 
 from pathlib import Path
 
@@ -13,15 +13,12 @@ from textcomp import (
     RibbonParams,
     TextContour,
     assemble,
-    bbox,
     bezier_fit_side,
     contour_polygon,
     decompose,
     gen_ribbon,
     has_shared_edges,
     is_simple,
-    point_in_polygon,
-    polygon_area,
     read_jsonl,
     resample_side,
     split_long_sides,
@@ -323,46 +320,10 @@ def test_split_recovers_generator_sides():
 # -------------------------------------------------------- polygon primitives
 
 
-def test_polygon_area_unit_square_signed():
-    assert polygon_area(UNIT_SQUARE) == 1.0
-    reversed_square = Polygon(UNIT_SQUARE.vertices[::-1])
-    assert polygon_area(reversed_square) == -1.0
-
-
-def test_polygon_area_matches_fan_triangulation():
-    # Independent route: sum of signed triangle areas fanned from vertex 0.
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        n = int(rng.integers(4, 12))
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-        radii = rng.uniform(2.0, 10.0, n)
-        verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        poly = Polygon(verts)
-        v0 = verts[0]
-        fan = 0.0
-        for i in range(1, n - 1):
-            u, w = verts[i] - v0, verts[i + 1] - v0
-            fan += 0.5 * (u[0] * w[1] - u[1] * w[0])
-        assert polygon_area(poly) == pytest.approx(fan, rel=1e-12, abs=1e-12)
-
-
-def test_point_in_polygon_interior_and_boundary():
-    assert point_in_polygon(UNIT_SQUARE, (0.5, 0.5))
-    assert point_in_polygon(UNIT_SQUARE, (0.5, 0.0))  # edge counted inside
-    assert point_in_polygon(UNIT_SQUARE, (0.0, 0.0))  # vertex counted inside
-    assert not point_in_polygon(UNIT_SQUARE, (1.5, 0.5))
-    assert not point_in_polygon(UNIT_SQUARE, (0.5, -0.01))
-
-
 def test_is_simple():
     assert is_simple(UNIT_SQUARE)
     bowtie = Polygon(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
     assert not is_simple(bowtie)
-
-
-def test_bbox_tight_bounds():
-    poly = Polygon(np.array([[2.0, -1.0], [5.0, 0.0], [4.0, 3.0]]))
-    assert bbox(poly) == (2.0, -1.0, 5.0, 3.0)
 
 
 def test_polygon_validation():
@@ -384,8 +345,6 @@ def test_component_sequence_validation():
         ComponentSequence(np.zeros((2, 4, 2)), scores=np.array([0.5]))
     with pytest.raises(ValueError):
         ComponentSequence(np.zeros((2, 4, 2)), scores=np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        ComponentSequence(np.zeros((2, 4, 2)), label="other")
 
 
 # ------------------------------------------------------------- bezier fitting

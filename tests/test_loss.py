@@ -1,6 +1,7 @@
 """Calibrated classification losses, their gradients, and the checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,56 @@ from textcomp import (
     l1_loss,
     psc_loss,
 )
+from textcomp.losses import EPSILON, _focal_terms
 
 # Scalar values computed by hand from the closed forms (alpha 0.25, gamma 2).
 FOCAL_06_POS = 0.020433024950639634
 FOCAL_03_POS = 0.14748666852992715
 FOCAL_03_NEG = 0.02407555871586444
 FOCAL_09_NEG = 1.398820443993883
+
+
+
+
+def _log(x):
+    return np.log(np.maximum(x, EPSILON))
+
+
+def two_branch_focal_terms(p, positive, alpha, gamma):
+    """Test-only oracle: both focal branches on every element, one kept.
+
+    Its gradients are NaN where a discarded branch or a saturated score hits
+    0 * inf at gamma < 1, so it is compared only at gamma >= 1.
+    """
+    pos_val = -alpha * (1.0 - p) ** gamma * _log(p)
+    pos_grad = alpha * gamma * (1.0 - p) ** (gamma - 1.0) * _log(p) - alpha * (
+        1.0 - p
+    ) ** gamma / np.maximum(p, EPSILON)
+    neg_val = -(1.0 - alpha) * p**gamma * _log(1.0 - p)
+    neg_grad = -(1.0 - alpha) * gamma * p ** (gamma - 1.0) * _log(1.0 - p) + (
+        1.0 - alpha
+    ) * p**gamma / np.maximum(1.0 - p, EPSILON)
+    return np.where(positive, pos_val, neg_val), np.where(positive, pos_grad, neg_grad)
+
+
+def oracle_psc(cp, s, cn, params):
+    """Test-only oracle: psc_loss with the two-branch negative terms."""
+    q = s**params.alpha
+    gap = q - cp
+    bce = -(q * _log(cp) + (1.0 - q) * _log(1.0 - cp))
+    pos_val = np.abs(gap) ** params.gamma * bce
+    bce_grad = -q / np.maximum(cp, EPSILON) + (1.0 - q) / np.maximum(1.0 - cp, EPSILON)
+    pos_grad = (
+        params.gamma * np.abs(gap) ** (params.gamma - 1.0) * np.sign(-gap) * bce
+        + np.abs(gap) ** params.gamma * bce_grad
+    )
+    neg_val, neg_grad = two_branch_focal_terms(cn, np.False_, 0.0, params.gamma)
+    return float(pos_val.sum() + neg_val.sum()), np.concatenate([pos_grad, neg_grad])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- focal_loss
@@ -66,6 +111,45 @@ def test_focal_never_negative(score):
     for positive in (True, False):
         value = focal_loss(np.array([score]), np.array([positive])).value
         assert value >= 0.0
+
+
+SATURATED = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9])
+
+
+def test_focal_terms_bitwise_equal_to_two_branch_oracle_at_gamma_from_one():
+    rng = np.random.default_rng(10)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 2000), SATURATED])
+    masks = (np.True_, np.False_, rng.uniform(size=p.size) < 0.5)
+    for gamma in (1.0, 2.0, 3.7):
+        for alpha in (0.0, 0.25, 1.0):
+            for positive in masks:
+                value, grad = _focal_terms(p, positive, alpha, gamma)
+                want_value, want_grad = two_branch_focal_terms(p, positive, alpha, gamma)
+                assert same_bits(value, want_value)
+                assert same_bits(grad, want_grad)
+
+
+def test_focal_exact_gradients_at_saturated_scores_below_gamma_one():
+    # Where the target class has probability 1, r = 0 and the term
+    # gamma * r**(gamma - 1) * log(q) tends to 0 because log(q) ~ -r.
+    at_zero = focal_loss([0.0, 1.0], [False, True], gamma=0.0)
+    assert at_zero.value == 0.0
+    assert np.array_equal(at_zero.grad_scores, [0.75, -0.25])
+    at_half = focal_loss([0.0, 1.0], [False, True], gamma=0.5)
+    assert at_half.value == 0.0
+    assert np.array_equal(at_half.grad_scores, [0.0, 0.0])
+    for gamma in (0.0, 0.5):
+        for positive in (True, False):
+            grads = focal_loss(SATURATED, np.full(4, positive), gamma=gamma).grad_scores
+            assert np.isfinite(grads).all()
+
+
+def test_losses_raise_no_runtime_warning_at_saturated_scores():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (0.0, 0.5, 1.0, 2.0):
+            focal_loss(SATURATED, [True, False, True, False], gamma=gamma)
+            psc_loss([0.5, 1.0, 0.0], [0.5, 1.0, 0.0], [0.0, 1.0], LossParams(gamma=gamma))
 
 
 # ------------------------------------------------------------------ psc_loss
@@ -124,6 +208,35 @@ def test_psc_gradient_matches_finite_differences():
         lambda s: psc_loss(s[:50], pious, s[50:]), x
     )
     assert err <= 1e-5
+
+
+def test_psc_exact_gradients_below_gamma_one():
+    # A negative entry at confidence 0 and a positive entry on its target
+    # both have true gradient 0; at gamma 0.5 the parent formulas gave NaN.
+    result = psc_loss([0.5], [0.5], [0.0], LossParams(gamma=0.5))
+    assert np.isfinite(result.value)
+    assert np.array_equal(result.grad_scores[1:], [0.0])
+    pious = np.array([0.7, 0.3])
+    on_target = psc_loss(pious**0.25, pious, [0.0], LossParams(gamma=0.5))
+    assert on_target.value == 0.0
+    assert np.array_equal(on_target.grad_scores, [0.0, 0.0, 0.0])
+    at_zero = psc_loss(pious**0.25, pious, [0.0, 1.0], LossParams(gamma=0.0))
+    assert np.isfinite(at_zero.grad_scores).all()
+    assert at_zero.grad_scores[2] == 1.0  # d/dp of -log(1 - p) at p = 0
+
+
+def test_psc_bitwise_equal_to_oracle_at_gamma_from_one():
+    rng = np.random.default_rng(11)
+    pious = np.concatenate([rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 0.5]])
+    cp = np.concatenate([rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 0.5**0.25]])
+    cp[:20] = pious[:20] ** 0.25  # exactly on target
+    cn = np.concatenate([rng.uniform(0.0, 1.0, 500), SATURATED])
+    for gamma in (1.0, 2.0, 3.7):
+        params = LossParams(gamma=gamma)
+        result = psc_loss(cp, pious, cn, params)
+        want_value, want_grad = oracle_psc(cp, pious, cn, params)
+        assert same_bits(result.value, want_value)
+        assert same_bits(result.grad_scores, want_grad)
 
 
 def test_psc_rejects_length_mismatch():

@@ -1,4 +1,4 @@
-"""Pairwise sequence costs, the exact assignment solver, and scene matching."""
+"""The padded matching cost, the exact assignment solver, and scene matching."""
 
 import itertools
 import math
@@ -15,8 +15,9 @@ from textcomp import (
     hungarian,
     match_sequences,
     perturb,
-    seq_match_cost,
 )
+from textcomp.losses import _focal_terms
+from textcomp.matching import _cost_matrix
 
 FOCAL_06_POSITIVE = 0.020433024950639634  # alpha 0.25, gamma 2, by hand
 
@@ -36,20 +37,53 @@ def scene(seed, n_preds, n_gts, t=3):
     return preds, gts
 
 
-# ------------------------------------------------------------ seq_match_cost
+def seq_match_cost(pred, gt, params):
+    """Test-only oracle: the cost of one prediction against one target.
+
+    gt=None is a padding ("no object") target, which costs only the focal
+    term against background. A real target adds, per frame, the mean
+    absolute difference of the eight corner coordinates, summed over frames.
+    """
+    if pred.scores is None:
+        raise ValueError("predicted sequences must carry per-component scores")
+    positive = gt is not None
+    cls_terms, _ = _focal_terms(pred.scores, positive, params.focal_alpha, params.focal_gamma)
+    cost = params.cls_weight * float(cls_terms.sum())
+    if positive:
+        if gt.quads.shape != pred.quads.shape:
+            raise ValueError("prediction and target must have the same component count")
+        per_frame = np.abs(pred.quads - gt.quads).reshape(len(pred.quads), -1).mean(axis=1)
+        cost += params.reg_weight * float(per_frame.sum())
+    return cost
+
+
+def oracle_matrix(preds, gts, params):
+    n = len(preds)
+    return np.array(
+        [
+            [seq_match_cost(pred, gts[j] if j < len(gts) else None, params) for j in range(n)]
+            for pred in preds
+        ]
+    )
+
+
+# ----------------------------------------------------------------- pair cost
 
 
 def test_cost_zero_for_perfect_prediction():
     quads = decompose(gen_ribbon(1), 3).quads
     pred = scored(quads, 1.0)
     gt = ComponentSequence(quads)
-    assert seq_match_cost(pred, gt, MatchParams()) == 0.0
+    assert _cost_matrix([pred], [gt], MatchParams())[0, 0] == 0.0
+    assert match_sequences([pred], [gt], MatchParams()).total_cost == 0.0
 
 
 def test_cost_zero_for_confident_background():
     pred = scored(np.zeros((3, 4, 2)), 0.0)
-    background = ComponentSequence(np.zeros((3, 4, 2)), label="empty")
-    assert seq_match_cost(pred, background, MatchParams()) == 0.0
+    assert _cost_matrix([pred], [], MatchParams())[0, 0] == 0.0
+    result = match_sequences([pred], [], MatchParams())
+    assert result.assignment == {0: None}
+    assert result.total_cost == 0.0
 
 
 def test_cost_frozen_single_frame_example():
@@ -58,38 +92,43 @@ def test_cost_frozen_single_frame_example():
     # regression part averages eight unit errors to exactly 1.
     pred = scored(np.zeros((1, 4, 2)), 0.6)
     gt = ComponentSequence(np.ones((1, 4, 2)))
-    cost = seq_match_cost(pred, gt, MatchParams())
-    assert cost == pytest.approx(FOCAL_06_POSITIVE + 1.0, abs=1e-12)
+    expected = FOCAL_06_POSITIVE + 1.0
+    assert _cost_matrix([pred], [gt], MatchParams())[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert seq_match_cost(pred, gt, MatchParams()) == pytest.approx(expected, abs=1e-12)
+    result = match_sequences([pred], [gt], MatchParams())
+    assert result.total_cost == pytest.approx(expected, abs=1e-12)
 
 
 def test_cost_requires_equal_length():
-    pred = scored(np.zeros((2, 4, 2)), 0.5)
+    preds = [scored(np.zeros((2, 4, 2)), 0.5)]
     gt = ComponentSequence(np.zeros((3, 4, 2)))
     with pytest.raises(ValueError):
-        seq_match_cost(pred, gt, MatchParams())
+        match_sequences(preds, [gt], MatchParams())
+    with pytest.raises(ValueError):
+        match_sequences(preds + [scored(np.zeros((3, 4, 2)), 0.5)], [], MatchParams())
 
 
 def test_cost_requires_prediction_scores():
     pred = ComponentSequence(np.zeros((2, 4, 2)))
     gt = ComponentSequence(np.zeros((2, 4, 2)))
     with pytest.raises(ValueError):
-        seq_match_cost(pred, gt, MatchParams())
+        match_sequences([pred], [gt], MatchParams())
+    with pytest.raises(ValueError):
+        match_sequences([pred], [], MatchParams())
 
 
 def test_cost_strictly_increases_with_coordinate_error():
     gt = ComponentSequence(np.zeros((2, 4, 2)))
-    costs = [
-        seq_match_cost(scored(np.full((2, 4, 2), offset), 0.9), gt, MatchParams())
-        for offset in (0.5, 1.0, 2.0, 4.0)
-    ]
+    preds = [scored(np.full((2, 4, 2), offset), 0.9) for offset in (0.5, 1.0, 2.0, 4.0)]
+    costs = _cost_matrix(preds, [gt], MatchParams())[:, 0]
     assert all(a < b for a, b in zip(costs, costs[1:]))
 
 
 def test_cost_weights_select_terms():
     pred = scored(np.ones((1, 4, 2)), 0.6)
     gt = ComponentSequence(np.zeros((1, 4, 2)))
-    cls_only = seq_match_cost(pred, gt, MatchParams(reg_weight=0.0))
-    reg_only = seq_match_cost(pred, gt, MatchParams(cls_weight=0.0))
+    cls_only = _cost_matrix([pred], [gt], MatchParams(reg_weight=0.0))[0, 0]
+    reg_only = _cost_matrix([pred], [gt], MatchParams(cls_weight=0.0))[0, 0]
     assert cls_only == pytest.approx(FOCAL_06_POSITIVE, abs=1e-12)
     assert reg_only == pytest.approx(1.0, abs=1e-12)
 
@@ -186,13 +225,6 @@ def test_match_capacity_error():
         match_sequences(preds, gts, MatchParams())
 
 
-def test_match_rejects_explicit_background_targets():
-    preds, _ = scene(8, n_preds=2, n_gts=0)
-    padding = ComponentSequence(np.zeros((3, 4, 2)), label="empty")
-    with pytest.raises(ValueError):
-        match_sequences(preds, [padding], MatchParams())
-
-
 def test_match_total_invariant_under_prediction_shuffle():
     preds, gts = scene(9, n_preds=6, n_gts=4)
     base = match_sequences(preds, gts, MatchParams())
@@ -218,17 +250,15 @@ def test_match_total_invariant_under_ground_truth_shuffle():
 
 
 def test_match_agrees_with_pairwise_costs_and_solver():
-    # Rebuild the padded cost matrix from the public pairwise primitive and
-    # solve it independently; totals must agree.
-    preds, gts = scene(11, n_preds=5, n_gts=3)
-    params = MatchParams()
-    n, g, t = len(preds), len(gts), len(preds[0].quads)
-    background = ComponentSequence(np.zeros((t, 4, 2)), label="empty")
-    cost = np.empty((n, n))
-    for i, pred in enumerate(preds):
-        for j in range(n):
-            target = gts[j] if j < g else background
-            cost[i, j] = seq_match_cost(pred, target, params)
-    expected = hungarian(cost).total_cost
-    got = match_sequences(preds, gts, params).total_cost
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # Rebuild the padded cost matrix one pair at a time with the oracle: it
+    # must agree with _cost_matrix entry by entry, and solving it
+    # independently must give the same total.
+    for seed, n_preds, n_gts in ((11, 5, 3), (12, 4, 0), (13, 4, 4)):
+        preds, gts = scene(seed, n_preds, n_gts)
+        for params in (MatchParams(), MatchParams(focal_alpha=0.6, focal_gamma=0.5, reg_weight=0.3)):
+            expected = oracle_matrix(preds, gts, params)
+            got = _cost_matrix(preds, gts, params)
+            assert got.shape == expected.shape == (n_preds, n_preds)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            total = match_sequences(preds, gts, params).total_cost
+            assert total == pytest.approx(hungarian(expected).total_cost, rel=1e-12, abs=1e-12)

@@ -20,7 +20,6 @@ from textcomp import (
     perturb,
     piou_exact,
     piou_mc,
-    point_in_polygon,
     quantize,
     sample_interior,
     contour_polygon,
@@ -29,6 +28,36 @@ from textcomp import (
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 BOW_TIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def point_in_polygon(poly, point):
+    """Test-only even-odd containment; boundary points count as inside."""
+    v = poly.vertices
+    p = np.asarray(point, dtype=float)
+    a, b = v, np.roll(v, -1, axis=0)
+    # boundary: point collinear with an edge and within its extent
+    e, d = b - a, p - a
+    cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
+    scale = max(1.0, float(np.abs(v).max()))
+    near = np.abs(cross) <= 1e-12 * scale * scale
+    lo = np.minimum(a, b) - 1e-12 * scale
+    hi = np.maximum(a, b) + 1e-12 * scale
+    if (near & ((p >= lo) & (p <= hi)).all(axis=1)).any():
+        return True
+    ya, yb = a[:, 1], b[:, 1]
+    straddles = (ya > p[1]) != (yb > p[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_hit = a[:, 0] + (p[1] - ya) / (yb - ya) * (b[:, 0] - a[:, 0])
+    return bool((straddles & (p[0] < x_hit)).sum() % 2 == 1)
+
+
+def test_point_in_polygon_interior_and_boundary():
+    square = Polygon(np.array(SQUARE))
+    assert point_in_polygon(square, (0.5, 0.5))
+    assert point_in_polygon(square, (0.5, 0.0))  # edge counted inside
+    assert point_in_polygon(square, (0.0, 0.0))  # vertex counted inside
+    assert not point_in_polygon(square, (1.5, 0.5))
+    assert not point_in_polygon(square, (0.5, -0.01))
 
 
 def square_chain(x0, y0, size, t=2):

@@ -15,7 +15,9 @@ even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
 Instances whose bounding boxes are strictly apart on some axis overlap 0
 under every kind; the kernel is not called for them. Under "piou-mc" every
 instance is decomposed up front, so an outline that cannot be split into
-two sides raises ValueError even when nothing is compared with it.
+two sides raises ValueError even when nothing is compared with it. An
+overlap that comes out NaN (a kernel overflowed) raises ValueError rather
+than counting as below the threshold.
 """
 
 from __future__ import annotations
@@ -68,10 +70,14 @@ def _kernel_inputs(instances: list[Instance], iou_kind: str, t: int):
 
 def _overlap(iou_kind: str, pred, gt, config: PIoUConfig | None) -> float:
     if iou_kind == "piou-mc":
-        return piou_mc(pred, gt, config).value
-    if iou_kind == "piou-exact":
-        return piou_exact(pred, gt)
-    return biou(pred, gt)
+        value = piou_mc(pred, gt, config).value
+    elif iou_kind == "piou-exact":
+        value = piou_exact(pred, gt)
+    else:
+        value = biou(pred, gt)
+    if np.isnan(value):
+        raise ValueError(f"{iou_kind} overlap is NaN: the kernel overflowed on these coordinates")
+    return value
 
 
 def _score_order(instances: list[Instance]) -> list[int]:

@@ -113,14 +113,11 @@ def sample_interior(seq: ComponentSequence, k: int) -> np.ndarray:
     return pts
 
 
-def _sorted_rows(cells: np.ndarray) -> np.ndarray:
-    """Rows of an (n, 2) array in lexicographic (x, y) order."""
-    return cells[np.lexsort((cells[:, 1], cells[:, 0]))]
-
-
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """For sorted rows, whether each row after the first equals its predecessor."""
-    return np.all(rows[1:] == rows[:-1], axis=1)
+# Largest cell box quantize marks in a dense bitmap; larger boxes are sorted.
+# Under the default tolerance a pair's cells span at most ~201 per axis and
+# ~20 000 in all, so only an explicit fine tolerance reaches the sorted path.
+_GRID_CELLS = 1 << 22
+_INT64_BOUND = 2.0**63
 
 
 def quantize(points, tolerance: float) -> np.ndarray:
@@ -128,17 +125,38 @@ def quantize(points, tolerance: float) -> np.ndarray:
 
     Cell (i, j) holds the points with floor(x / tolerance) = i and
     floor(y / tolerance) = j. Returns an (n, 2) int64 array of distinct
-    cells sorted by (i, j).
+    cells sorted by (i, j). When the cells' bounding box holds at most
+    _GRID_CELLS cells they are marked in a dense boolean grid read back in
+    (i, j) order; otherwise they are sorted and deduplicated. Both paths
+    return the same array. Raises ValueError when some |point / tolerance|
+    is not below 2**63 (including inf and NaN), since its cell index would
+    not fit in int64.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    cells = _sorted_rows(np.floor(pts / tolerance).astype(np.int64))
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = ~_repeats(cells)
-    return cells[first]
+    cells = np.floor(pts / tolerance)
+    if len(cells) == 0:
+        return cells.astype(np.int64)
+    lo_i, hi_i = cells[:, 0].min(), cells[:, 0].max()
+    lo_j, hi_j = cells[:, 1].min(), cells[:, 1].max()
+    # floor keeps |x| < 2**63 exactly when x had it; NaN fails every comparison
+    b = _INT64_BOUND
+    if not (-b < lo_i <= hi_i < b and -b < lo_j <= hi_j < b):
+        raise ValueError(
+            f"|points / tolerance| must be below 2**63 for int64 cells (tolerance {tolerance})"
+        )
+    cells = cells.astype(np.int64)
+    i0, j0 = int(lo_i), int(lo_j)
+    ni, nj = int(hi_i) - i0 + 1, int(hi_j) - j0 + 1
+    if ni * nj > _GRID_CELLS:
+        return np.unique(cells, axis=0)
+    hit = np.zeros(ni * nj, dtype=bool)
+    hit[(cells[:, 0] - i0) * nj + (cells[:, 1] - j0)] = True
+    i, j = np.divmod(np.flatnonzero(hit), nj)
+    return np.stack([i + i0, j + j0], axis=1)
 
 
 def _joint_diagonal(gt: ComponentSequence, pred: ComponentSequence) -> float:
@@ -153,12 +171,14 @@ def piou_mc(
     """Sampled polygon IoU between two component sequences.
 
     Both sequences are sampled with the same configuration; the estimate is
-    the IoU of their quantized cell sets. Identical sequences yield exactly
-    1.0. When the joint extent is degenerate (all points coincide) the cell
-    sets are equal and the value is 1.0 by the same rule. Each quad counts
-    the image of its bilinear map (see sample_interior): a folded bow-tie
-    quad covers less than its even-odd region, so against its own square it
-    scores about 0.26 where piou_exact gives 0.5.
+    the IoU of their quantized cell sets. The union is counted as the cells
+    of the joined samples, and the intersection as the two sets' sizes
+    minus the union. Identical sequences yield exactly 1.0. When the joint
+    extent is degenerate (all points coincide) the cell sets are equal and
+    the value is 1.0 by the same rule. Each quad counts the image of its
+    bilinear map (see sample_interior): a folded bow-tie quad covers less
+    than its even-odd region, so against its own square it scores about
+    0.26 where piou_exact gives 0.5.
     """
     cfg = config or PIoUConfig()
     tol = cfg.tolerance
@@ -166,12 +186,10 @@ def piou_mc(
         diag = _joint_diagonal(gt, pred)
         tol = TOLERANCE_DIAGONAL_FRACTION * diag if diag > 0.0 else 1.0
     resolved = replace(cfg, tolerance=tol)
-    cells_gt = quantize(sample_interior(gt, cfg.k_samples), tol)
-    cells_pred = quantize(sample_interior(pred, cfg.k_samples), tol)
-    # each array holds distinct cells, so a shared cell is one adjacent repeat
-    both = _sorted_rows(np.concatenate([cells_gt, cells_pred]))
-    inter = int(np.count_nonzero(_repeats(both)))
-    union = len(cells_gt) + len(cells_pred) - inter
+    pts_gt = sample_interior(gt, cfg.k_samples)
+    pts_pred = sample_interior(pred, cfg.k_samples)
+    union = len(quantize(np.concatenate([pts_gt, pts_pred]), tol))
+    inter = len(quantize(pts_gt, tol)) + len(quantize(pts_pred, tol)) - union
     value = inter / union if union > 0 else 1.0
     return PIoUEstimate(value, inter, union, resolved)
 

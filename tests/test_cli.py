@@ -155,6 +155,22 @@ def test_piou_non_finite_value_fails_without_printing_json(tmp_path, capsys):
     assert "JSON" in captured.err
 
 
+def test_piou_tolerance_past_int64_cells_is_input_error(tmp_path, capsys):
+    # Cell index 1e6 / 1e-14 = 1e20 does not fit in int64; a wrapping cast
+    # would put every point in one cell and report 1/1.
+    polygon = [[1e6, 1e6], [1e6 + 10.0, 1e6], [1e6 + 10.0, 1e6 + 5.0], [1e6, 1e6 + 5.0]]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n",
+        encoding="utf-8",
+    )
+    code = run(["piou", "--pairs", str(pairs), "--tolerance", "1e-14", "--k", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "int64" in captured.err
+
+
 # --------------------------------------------------------------------- match
 
 
@@ -253,6 +269,21 @@ def test_eval_mc_rejects_unsplittable_truth_without_predictions(tmp_path, capsys
     argv = ["eval", "--preds", str(preds), "--gts", str(gts), "--iou-kind", "piou-mc"]
     assert run(argv) == 1
     assert "at least 4 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["piou-exact", "biou"])
+def test_eval_nan_overlap_is_input_error(tmp_path, capsys, kind):
+    # A square at 1e300 overflows both kernels to NaN. Scored as below the
+    # threshold it would report precision 0 and recall 0 with exit 0.
+    square = Polygon(np.array([[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]]))
+    path = tmp_path / "huge.jsonl"
+    write_jsonl([AnnotationRecord(image="img", instances=[Instance(polygon=square, score=1.0)])], path)
+    with np.errstate(all="ignore"):
+        code = run(["eval", "--preds", str(path), "--gts", str(path), "--iou-kind", kind])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "NaN" in captured.err
 
 
 # --------------------------------------------------------------------- synth

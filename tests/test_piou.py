@@ -24,6 +24,7 @@ from textcomp import (
     sample_interior,
     contour_polygon,
 )
+from textcomp.piou import _GRID_CELLS
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -194,6 +195,101 @@ def test_quantize_duplicate_invariance(seed, tol):
     pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (40, 2))
     doubled = np.concatenate([pts, pts])
     assert _cell_set(quantize(pts, tol)) == _cell_set(quantize(doubled, tol))
+
+
+def _lexsort_quantize(points, tolerance):
+    """Oracle: the cells of every point, lexsorted, with adjacent repeats
+    dropped (the sort-based quantize, run on any box size)."""
+    cells = np.floor(np.asarray(points, dtype=float) / tolerance).astype(np.int64)
+    cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    return cells[first]
+
+
+_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@given(
+    points=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=60),
+    # cells of 1e-4 over a 2e3 spread are far past the grid bound, cells of 10 far inside it
+    log_tol=st.floats(min_value=-4.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_quantize_matches_lexsort_oracle(points, log_tol):
+    tol = 10.0**log_tol
+    got = quantize(points, tol)
+    assert got.dtype == np.int64
+    assert got.shape == (len(_cell_set(got)), 2)
+    assert np.array_equal(got, _lexsort_quantize(points, tol))
+
+
+@pytest.mark.parametrize(
+    "box, sorted_path",
+    [((2048, 2048), False), ((5, 838_861), True)],  # 2**22 cells, and 2**22 + 1 = 5 * 838 861
+)
+def test_quantize_grid_bound_is_inclusive(monkeypatch, box, sorted_path):
+    assert _GRID_CELLS == 2048 * 2048 == 5 * 838_861 - 1
+    # The same unit-square cloud stretched over the box, with both corner cells hit.
+    unit = np.random.default_rng(11).uniform(0.0, 1.0, (500, 2))
+    points = np.concatenate([unit, [[0.0, 0.0], [1.0 - 1e-9, 1.0 - 1e-9]]]) * box
+    sorts = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        sorts.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    got = quantize(points, 1.0)
+    assert got[[0, -1]].tolist() == [[0, 0], [box[0] - 1, box[1] - 1]]
+    assert bool(sorts) == sorted_path
+    assert np.array_equal(got, _lexsort_quantize(points, 1.0))
+
+
+def test_quantize_at_the_largest_default_tolerance_grid():
+    # The default cell is 0.005 of the joint box diagonal, so a square joint
+    # box gives the largest grid: 200 / sqrt(2) = 141.4 cells a side, of
+    # which the centered samples reach 141.
+    a = square_chain(0.0, 0.0, 100.0)
+    b = square_chain(37.0, 37.0, 63.0, t=3)
+    est = piou_mc(a, b)
+    tol = est.config.tolerance
+    joined = np.concatenate([sample_interior(a, 10_000), sample_interior(b, 10_000)])
+    cells = quantize(joined, tol)
+    ni, nj = cells.max(axis=0) - cells.min(axis=0) + 1
+    assert ni == nj == 141
+    assert np.array_equal(cells, _lexsort_quantize(joined, tol))
+    assert (est.value, est.intersection_cells, est.union_cells, tol) == _set_piou(a, b)
+
+
+@pytest.mark.parametrize(
+    "points, tol",
+    [
+        ([[np.nan, 0.0]], 1.0),
+        ([[0.0, np.inf]], 1.0),
+        ([[-np.inf, 0.0]], 1.0),
+        ([[2.0**63, 0.0]], 1.0),
+        ([[0.0, -(2.0**63)]], 1.0),
+        ([[0.0, 0.0], [1e6, 1e6]], 1e-14),
+    ],
+)
+def test_quantize_rejects_cells_outside_int64(points, tol):
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        quantize(points, tol)
+
+
+def test_quantize_accepts_the_largest_float_below_2_to_the_63():
+    edge = 2.0**63 - 1024
+    assert quantize([[edge, -edge]], 1.0).tolist() == [[2**63 - 1024, -(2**63 - 1024)]]
+
+
+def test_mc_rejects_a_tolerance_whose_cells_overflow_int64():
+    # 1e6 / 1e-14 = 1e20 > 2**63: a wrapping int64 cast would put every point in one cell.
+    quad = np.array([[[1e6, 1e6], [1e6 + 10.0, 1e6], [1e6 + 10.0, 1e6 + 5.0], [1e6, 1e6 + 5.0]]])
+    seq = ComponentSequence(quad)
+    with pytest.raises(ValueError, match="int64"):
+        piou_mc(seq, seq, PIoUConfig(k_samples=100, tolerance=1e-14))
 
 
 # ------------------------------------------------------------------- piou_mc

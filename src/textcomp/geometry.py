@@ -14,6 +14,7 @@ start-aligned: side_a[0] and side_b[0] sit at the same end of the text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,23 @@ __all__ = [
 
 # Segments per knot span when tabulating arc length for resampling.
 TABLE_SEGMENTS_PER_SPAN = 1000
+
+# Powers 0..3 of the table's local parameter tau = k / TABLE_SEGMENTS_PER_SPAN.
+_POWERS = np.arange(4)
+_TABLE_TAU = np.arange(TABLE_SEGMENTS_PER_SPAN + 1) / TABLE_SEGMENTS_PER_SPAN
+_TABLE_POWERS = _TABLE_TAU ** _POWERS[:, None]
+_UNIT_SPAN = np.array([0.0, 1.0])
+
+# Cubic Bezier control points to power coefficients: curve(t) = [1, t, t^2, t^3] @ (_BERN @ ctrl).
+_BERN = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [-3.0, 3.0, 0.0, 0.0], [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]
+)
+# Rows of t powers times multipliers for the curve and its first two derivatives:
+# [1, t, t^2, t^3], [0, 1, 2t, 3t^2] and [0, 0, 2, 6t].
+_NEWTON_EXP = np.array([0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 0, 1])
+_NEWTON_MUL = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 2.0, 6.0])
+# Smallest det / trace^2 of a normal matrix (about 1 / its condition number) solved directly.
+_NORMAL_EQ_MIN_DET = 1e-6
 
 
 def _as_points(arr, name: str, min_points: int) -> np.ndarray:
@@ -118,25 +136,28 @@ class ComponentSequence:
         return len(self.quads)
 
 
-def _arc_length_params(eval_fn, breakpoints: np.ndarray, m: int) -> np.ndarray | None:
+def _arc_length_params(coef: np.ndarray, breakpoints: np.ndarray, m: int) -> np.ndarray | None:
     """Parameters of m equal arc-length points via a dense polyline table.
 
-    The table uses TABLE_SEGMENTS_PER_SPAN segments per breakpoint interval
-    and linear inversion of cumulative length. Returns None when the curve
-    has zero total length.
+    coef holds each span's local power coefficients, shape (spans, k, 2):
+    on [breakpoints[s], breakpoints[s+1]] the curve is sum_j coef[s, j] tau**j
+    for the local parameter tau in [0, 1]. The table takes
+    TABLE_SEGMENTS_PER_SPAN segments per span, all spans' points from one
+    matmul with a constant matrix of tau powers, and inverts the cumulative
+    polyline length linearly. Returns None when the curve has zero total
+    length.
     """
-    pieces = []
-    for s in range(len(breakpoints) - 1):
-        seg = np.linspace(breakpoints[s], breakpoints[s + 1], TABLE_SEGMENTS_PER_SPAN + 1)
-        pieces.append(seg if s == 0 else seg[1:])
-    params = np.concatenate(pieces)
-    pts = eval_fn(params)
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    # (spans, 2, table points): x and y rows keep the step lengths elementwise
+    d = np.diff(coef.transpose(0, 2, 1) @ _TABLE_POWERS[: coef.shape[1]], axis=2)
+    d *= d
+    cum = np.concatenate([[0.0], np.cumsum(np.sqrt(d[:, 0] + d[:, 1]))])
     if cum[-1] == 0.0:
         return None
-    targets = np.linspace(0.0, cum[-1], m)
-    return np.interp(targets, cum, params)
+    tau = _TABLE_TAU[1:]
+    # (1 - tau) a + tau b lands exactly on each span's end b
+    params = breakpoints[:-1, None] * (1.0 - tau) + breakpoints[1:, None] * tau
+    params = np.concatenate([breakpoints[:1], params.ravel()])
+    return np.interp(np.linspace(0.0, cum[-1], m), cum, params)
 
 
 def resample_side(side, m: int) -> np.ndarray:
@@ -155,7 +176,13 @@ def resample_side(side, m: int) -> np.ndarray:
     interior = np.arange(1, n - degree) / (n - degree)
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
     curve = BSpline(knots, side, degree)
-    params = _arc_length_params(curve, np.concatenate([[0.0], interior, [1.0]]), m)
+    breakpoints = np.concatenate([[0.0], interior, [1.0]])
+    # Taylor coefficients at each span start, scaled to the local parameter
+    start, width = breakpoints[:-1], np.diff(breakpoints)[:, None]
+    coef = np.stack(
+        [curve(start, nu=j) * (width**j / math.factorial(j)) for j in range(degree + 1)], axis=1
+    )
+    params = _arc_length_params(coef, breakpoints, m)
     if params is None:  # all vertices coincide
         return np.repeat(side[:1], m, axis=0)
     pts = curve(params)
@@ -163,25 +190,76 @@ def resample_side(side, m: int) -> np.ndarray:
     return pts
 
 
-def _bezier_eval(ctrl: np.ndarray, t: np.ndarray) -> np.ndarray:
-    t = t[:, None]
+def _bezier_control(sides: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Least-squares control points at fixed parameters t, shape (S, 4, 2).
+
+    The end control points are pinned to each side's endpoints; the two
+    interior ones solve the 2x2 normal equations of all sides in one batch.
+    Normal equations square the condition number, so a side past about 1e6
+    (and the rank-1 system of a 3-vertex side) is solved by lstsq instead.
+    """
+    p0, p3 = sides[:, :1], sides[:, -1:]
     s = 1.0 - t
-    return (
-        s**3 * ctrl[0]
-        + 3.0 * t * s**2 * ctrl[1]
-        + 3.0 * t**2 * s * ctrl[2]
-        + t**3 * ctrl[3]
-    )
+    basis = np.stack([3.0 * t * s**2, 3.0 * t**2 * s], axis=2)
+    rhs = sides - (s**3)[..., None] * p0 - (t**3)[..., None] * p3
+    basis_t = basis.transpose(0, 2, 1)
+    gram = basis_t @ basis
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    ill = ~(det > _NORMAL_EQ_MIN_DET * (gram[:, 0, 0] + gram[:, 1, 1]) ** 2)
+    interior = np.linalg.solve(np.where(ill[:, None, None], np.eye(2), gram), basis_t @ rhs)
+    for i in np.flatnonzero(ill):
+        interior[i] = np.linalg.lstsq(basis[i], rhs[i], rcond=None)[0]
+    return np.concatenate([p0, interior, p3], axis=1)
 
 
-def _bezier_fit(side: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Least-squares interior control points at fixed parameters t."""
-    p0, p3 = side[0], side[-1]
-    s = 1.0 - t
-    bern = np.stack([s**3, 3.0 * t * s**2, 3.0 * t**2 * s, t**3], axis=1)
-    rhs = side - np.outer(bern[:, 0], p0) - np.outer(bern[:, 3], p3)
-    interior, *_ = np.linalg.lstsq(bern[:, 1:3], rhs, rcond=None)
-    return np.vstack([p0, interior, p3])
+def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
+    """Batched ``bezier_fit_side`` for S sides of equal vertex count, shape (S, m, 2).
+
+    Each side keeps its own schedule: the same chord-length start, up to 32
+    rounds of three Newton steps and a refit, and its own 1e-10 stop. A side
+    that has converged is frozen while the others keep iterating, so every
+    side gets the result it would get alone.
+    """
+    chord = np.linalg.norm(np.diff(sides, axis=1), axis=2)
+    total = chord.sum(axis=1)
+    if (total == 0.0).any():
+        raise ValueError("cannot fit a curve through coincident points")
+    p0, p3 = sides[:, 0], sides[:, -1]
+    if sides.shape[1] == 2:
+        ctrl = np.stack([p0, p0 + (p3 - p0) / 3.0, p0 + 2.0 * (p3 - p0) / 3.0, p3], axis=1)
+    else:
+        t = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(chord, axis=1)], axis=1)
+        t /= total[:, None]
+        ctrl = _bezier_control(sides, t)
+        live = np.arange(len(sides))
+        for _ in range(32):
+            side, t_old = sides[live], t[live]
+            coef = (_BERN @ ctrl[live])[:, None]
+            t_new = t_old
+            for _ in range(3):
+                # offset from the vertex, first and second derivative at t from one matmul
+                basis = t_new[..., None] ** _NEWTON_EXP * _NEWTON_MUL
+                terms = basis.reshape(*t_new.shape, 3, 4) @ coef
+                terms[:, :, 0] -= side
+                # dots[..., i, j]: term i . term j for j in (offset, first derivative)
+                dots = terms @ terms[:, :, :2].swapaxes(2, 3)
+                f = dots[..., 0, 1]
+                fp = dots[..., 1, 1] + dots[..., 2, 0]
+                step = np.divide(f, fp, out=np.zeros(f.shape), where=np.abs(fp) > 1e-12)
+                t_new = np.minimum(np.maximum(t_new - step, 0.0), 1.0)
+            t_new[:, 0], t_new[:, -1] = 0.0, 1.0
+            t[live], ctrl[live] = t_new, _bezier_control(side, t_new)
+            live = live[~(np.abs(t_new - t_old).max(axis=1) < 1e-10)]
+            if not live.size:
+                break
+    out = np.empty((len(sides), m, 2))
+    for i, coef in enumerate(_BERN @ ctrl):
+        params = _arc_length_params(coef[None], _UNIT_SPAN, m)
+        if params is None:
+            out[i] = sides[i, 0]
+        else:
+            out[i] = params[:, None] ** _POWERS @ coef
+    return out
 
 
 def bezier_fit_side(side, m: int) -> np.ndarray:
@@ -191,45 +269,14 @@ def bezier_fit_side(side, m: int) -> np.ndarray:
     parameters, the fit alternates solving for the two interior control
     points with Newton reprojection of the side's vertices onto the current
     curve (Hoschek-style parameter correction). Output points are equally
-    spaced in arc length along the fitted curve.
+    spaced in arc length along the fitted curve (the polyline table of
+    ``_arc_length_params`` on the single span [0, 1]). This is the one-side
+    case of the batched fit that ``decompose`` runs on both sides at once.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    chord = np.linalg.norm(np.diff(side, axis=0), axis=1)
-    total = chord.sum()
-    if total == 0.0:
-        raise ValueError("cannot fit a curve through coincident points")
-    p0, p3 = side[0], side[-1]
-    if len(side) == 2:
-        ctrl = np.array([p0, p0 + (p3 - p0) / 3.0, p0 + 2.0 * (p3 - p0) / 3.0, p3])
-    else:
-        t = np.concatenate([[0.0], np.cumsum(chord)]) / total
-        ctrl = _bezier_fit(side, t)
-        for _ in range(32):
-            t_old = t
-            d1c = 3.0 * (ctrl[1:] - ctrl[:-1])
-            d2c = 2.0 * (d1c[1:] - d1c[:-1])
-            for _ in range(3):
-                tt = t[:, None]
-                ss = 1.0 - tt
-                pos = _bezier_eval(ctrl, t) - side
-                der1 = ss**2 * d1c[0] + 2.0 * tt * ss * d1c[1] + tt**2 * d1c[2]
-                der2 = ss * d2c[0] + tt * d2c[1]
-                f = (pos * der1).sum(axis=1)
-                fp = (der1 * der1).sum(axis=1) + (pos * der2).sum(axis=1)
-                step = np.where(np.abs(fp) > 1e-12, f / np.where(fp == 0.0, 1.0, fp), 0.0)
-                t = np.clip(t - step, 0.0, 1.0)
-            t[0], t[-1] = 0.0, 1.0
-            ctrl = _bezier_fit(side, t)
-            if np.abs(t - t_old).max() < 1e-10:
-                break
-    params = _arc_length_params(
-        lambda tt: _bezier_eval(ctrl, np.asarray(tt)), np.array([0.0, 1.0]), m
-    )
-    if params is None:
-        return np.repeat(side[:1], m, axis=0)
-    return _bezier_eval(ctrl, params)
+    return _bezier_fit_sides(side[None], m)[0]
 
 
 def _poly_vertices(poly) -> np.ndarray:
@@ -293,6 +340,10 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
     Each side is resampled into t+1 equal arc-length points along its fitted
     curve ("bspline" default, "bezier" for the cubic Bezier alternative);
     consecutive point pairs are zipped into quads that share edges exactly.
+    Both fits place the points with the polyline table of
+    ``_arc_length_params``. Under "bezier", two sides with the same vertex
+    count are fitted in one batch, each to what ``bezier_fit_side`` gives it
+    alone; otherwise they are fitted one at a time.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -300,8 +351,11 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
         a = resample_side(contour.side_a, t + 1)
         b = resample_side(contour.side_b, t + 1)
     elif method == "bezier":
-        a = bezier_fit_side(contour.side_a, t + 1)
-        b = bezier_fit_side(contour.side_b, t + 1)
+        if len(contour.side_a) == len(contour.side_b):
+            a, b = _bezier_fit_sides(np.stack([contour.side_a, contour.side_b]), t + 1)
+        else:
+            (a,) = _bezier_fit_sides(contour.side_a[None], t + 1)
+            (b,) = _bezier_fit_sides(contour.side_b[None], t + 1)
     else:
         raise ValueError(f"unknown resampling method {method!r}")
     quads = np.stack([a[:-1], a[1:], b[1:], b[:-1]], axis=1)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,24 @@ def test_eval_nan_overlap_is_input_error(tmp_path, capsys, kind):
     assert code == 1
     assert captured.out == ""
     assert "NaN" in captured.err
+
+
+def test_eval_mc_names_an_overflowing_chain(tmp_path, capsys):
+    # Components at 1e300 reach sample_interior as they are; squaring their
+    # side vectors overflows, and the run must say so without a warning.
+    square = np.array([[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]])
+    instance = Instance(polygon=Polygon(square), score=1.0, components=square[None])
+    path = tmp_path / "huge.jsonl"
+    write_jsonl([AnnotationRecord(image="img", instances=[instance])], path)
+    argv = ["eval", "--preds", str(path), "--gts", str(path), "--iou-kind", "piou-mc"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "side lengths overflow float64" in captured.err
+    assert caught == []
 
 
 # --------------------------------------------------------------------- synth

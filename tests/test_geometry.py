@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from textcomp import (
     ComponentSequence,
@@ -76,6 +77,34 @@ def _resample_oracle(side, m):
     u = np.interp(np.linspace(0.0, cum[-1], m), cum, params)
     return _basis_matrix(knots, degree, u) @ side
 
+
+def _arc_length_params_oracle(eval_fn, breakpoints, m):
+    """The arc-length table evaluated point by point through eval_fn, span by span."""
+    pieces = []
+    for s in range(len(breakpoints) - 1):
+        seg = np.linspace(breakpoints[s], breakpoints[s + 1], 1001)
+        pieces.append(seg if s == 0 else seg[1:])
+    params = np.concatenate(pieces)
+    pts = eval_fn(params)
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    if cum[-1] == 0.0:
+        return None
+    return np.interp(np.linspace(0.0, cum[-1], m), cum, params)
+
+
+def _resample_table_oracle(side, m):
+    """resample_side with scipy evaluating every table point."""
+    n = len(side)
+    degree = min(3, n - 1)
+    interior = np.arange(1, n - degree) / (n - degree)
+    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    curve = BSpline(knots, side, degree)
+    params = _arc_length_params_oracle(curve, np.concatenate([[0.0], interior, [1.0]]), m)
+    if params is None:
+        return np.repeat(side[:1], m, axis=0)
+    pts = curve(params)
+    pts[[0, -1]] = side[[0, -1]]
+    return pts
 
 
 def test_resample_straight_side_is_uniform():
@@ -385,3 +414,105 @@ def test_bezier_s_shape_reconstructs_worse_than_bspline():
 def test_bezier_rejects_degenerate_side():
     with pytest.raises(ValueError):
         bezier_fit_side(np.array([[1.0, 1.0], [1.0, 1.0]]), 5)
+
+
+def _bezier_eval_oracle(ctrl, t):
+    t = t[:, None]
+    s = 1.0 - t
+    return s**3 * ctrl[0] + 3.0 * t * s**2 * ctrl[1] + 3.0 * t**2 * s * ctrl[2] + t**3 * ctrl[3]
+
+
+def _bezier_control_oracle(side, t):
+    p0, p3 = side[0], side[-1]
+    s = 1.0 - t
+    bern = np.stack([s**3, 3.0 * t * s**2, 3.0 * t**2 * s, t**3], axis=1)
+    rhs = side - np.outer(bern[:, 0], p0) - np.outer(bern[:, 3], p3)
+    interior, *_ = np.linalg.lstsq(bern[:, 1:3], rhs, rcond=None)
+    return np.vstack([p0, interior, p3])
+
+
+def _bezier_fit_side_oracle(side, m):
+    """The one-side fit: lstsq refits, Bernstein-form Newton steps, table by closure."""
+    chord = np.linalg.norm(np.diff(side, axis=0), axis=1)
+    total = chord.sum()
+    p0, p3 = side[0], side[-1]
+    if len(side) == 2:
+        ctrl = np.array([p0, p0 + (p3 - p0) / 3.0, p0 + 2.0 * (p3 - p0) / 3.0, p3])
+    else:
+        t = np.concatenate([[0.0], np.cumsum(chord)]) / total
+        ctrl = _bezier_control_oracle(side, t)
+        for _ in range(32):
+            t_old = t
+            d1c = 3.0 * (ctrl[1:] - ctrl[:-1])
+            d2c = 2.0 * (d1c[1:] - d1c[:-1])
+            for _ in range(3):
+                tt = t[:, None]
+                ss = 1.0 - tt
+                pos = _bezier_eval_oracle(ctrl, t) - side
+                der1 = ss**2 * d1c[0] + 2.0 * tt * ss * d1c[1] + tt**2 * d1c[2]
+                der2 = ss * d2c[0] + tt * d2c[1]
+                f = (pos * der1).sum(axis=1)
+                fp = (der1 * der1).sum(axis=1) + (pos * der2).sum(axis=1)
+                step = np.where(np.abs(fp) > 1e-12, f / np.where(fp == 0.0, 1.0, fp), 0.0)
+                t = np.clip(t - step, 0.0, 1.0)
+            t[0], t[-1] = 0.0, 1.0
+            ctrl = _bezier_control_oracle(side, t)
+            if np.abs(t - t_old).max() < 1e-10:
+                break
+    params = _arc_length_params_oracle(
+        lambda tt: _bezier_eval_oracle(ctrl, tt), np.array([0.0, 1.0]), m
+    )
+    if params is None:
+        return np.repeat(side[:1], m, axis=0)
+    return _bezier_eval_oracle(ctrl, params)
+
+
+def _side(n, kind, rng):
+    """A text-like side of n vertices.
+
+    Scattered point clouds and interior vertices equal to an endpoint are
+    left out: there the Newton reprojection does not settle in 32 rounds or
+    the refit drops rank, and the oracle itself moves by up to 0.15 of the
+    side's scale when its input moves by 1e-15 relative.
+    """
+    if kind == "collinear":
+        offsets = np.sort(rng.uniform(0.0, 80.0, n))
+        return rng.uniform(-50.0, 50.0, 2) + np.outer(offsets, rng.normal(size=2))
+    if kind == "ribbon":
+        params = RibbonParams(side_vertices=max(n, 3), curvature=0.012)
+        return gen_ribbon(int(rng.integers(1 << 30)), params).side_a[:n]
+    side = np.cumsum(rng.uniform(-5.0, 20.0, (n, 2)), axis=0)
+    if kind == "duplicate" and n >= 4:  # two equal interior vertices
+        k = int(rng.integers(1, n - 2))
+        side[k + 1] = side[k]
+    return side
+
+
+side_kinds = st.sampled_from(["walk", "ribbon", "collinear", "duplicate"])
+
+
+@given(
+    n_a=st.one_of(st.just(3), st.integers(2, 60)),
+    n_b=st.one_of(st.none(), st.integers(2, 60)),
+    kind_a=side_kinds,
+    kind_b=side_kinds,
+    t=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fits_match_one_side_oracles(n_a, n_b, kind_a, kind_b, t, seed):
+    # n_b None gives both sides the same vertex count, so decompose fits them in one batch.
+    rng = np.random.default_rng(seed)
+    contour = TextContour(_side(n_a, kind_a, rng), _side(n_a if n_b is None else n_b, kind_b, rng))
+    fits = []
+    for side in (contour.side_a, contour.side_b):
+        scale = np.abs(side).max()
+        fit = bezier_fit_side(side, t + 1)
+        assert np.abs(fit - _bezier_fit_side_oracle(side, t + 1)).max() <= 1e-9 * scale
+        resampled = resample_side(side, t + 1)
+        assert np.abs(resampled - _resample_table_oracle(side, t + 1)).max() <= 1e-12 * scale
+        fits.append(fit)
+    a, b = fits
+    alone = np.stack([a[:-1], a[1:], b[1:], b[:-1]], axis=1)
+    scale = max(np.abs(contour.side_a).max(), np.abs(contour.side_b).max())
+    assert np.abs(decompose(contour, t, "bezier").quads - alone).max() <= 1e-12 * scale

@@ -1,6 +1,7 @@
 """Interior sampling, cell quantization, and the overlap estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_sample_is_deterministic():
 def test_sample_rejects_bad_k():
     with pytest.raises(ValueError):
         sample_interior(ComponentSequence(UNIT_QUAD), 0)
+
+
+def test_sample_names_an_overflowing_chain_without_warning():
+    # Squaring 1e300 side vectors overflows; the error names the cause and
+    # no RuntimeWarning comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="side lengths overflow float64"):
+            sample_interior(ComponentSequence(UNIT_QUAD * 1e300), 100)
 
 
 def _pointwise_sample(seq, k):

@@ -17,12 +17,14 @@ import functools
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .evaluate import _IOU_KINDS, _as_sequence, _score_order, evaluate
 from .geometry import (
+    CTW1500_FORMAT_HINT,
     ComponentSequence,
     assemble,
     contour_polygon,
@@ -30,15 +32,13 @@ from .geometry import (
     split_long_sides,
 )
 from .ingest import (
-    CTW1500_FORMAT_HINT,
     AnnotationRecord,
     Instance,
     ParseError,
+    _instance_from_dict,
     _json_objects,
     read_ctw1500,
     read_jsonl,
-    record_from_dict,
-    record_to_dict,
     write_jsonl,
 )
 from .losses import finite_diff_check, focal_loss, l1_loss, psc_loss
@@ -80,11 +80,7 @@ def _emit(payload: dict, fmt: str, out: str | None, csv_rows=None, csv_header=No
 
 
 def _write_records(records, out: str | None) -> None:
-    if out is None or out == "-":
-        for record in records:
-            sys.stdout.write(json.dumps(record_to_dict(record), separators=(",", ":")) + "\n")
-    else:
-        write_jsonl(records, out)
+    write_jsonl(records, sys.stdout if out is None or out == "-" else out)
 
 
 def _read_records(path: str, format_hint: str | None = None) -> list[AnnotationRecord]:
@@ -103,47 +99,30 @@ def _scored_sequence(inst: Instance, t: int) -> ComponentSequence:
 # ---------------------------------------------------------------- decompose
 
 def _cmd_decompose(args) -> int:
-    records = _read_records(args.infile, args.format_hint)
     out_records = []
-    for record in records:
+    for record in _read_records(args.infile, args.format_hint):
         new_instances = []
         for inst in record.instances:
-            hint = args.format_hint or record.format_hint
-            contour = split_long_sides(inst.polygon, format_hint=hint)
+            contour = split_long_sides(inst.polygon, format_hint=args.format_hint)
             seq = decompose(contour, args.t, method=args.method)
-            new_instances.append(
-                Instance(
-                    polygon=inst.polygon,
-                    score=inst.score,
-                    ignore=inst.ignore,
-                    components=seq.quads,
-                )
-            )
-        out_records.append(
-            AnnotationRecord(image=record.image, instances=new_instances)
-        )
+            new_instances.append(replace(inst, components=seq.quads))
+        out_records.append(replace(record, instances=new_instances))
     _write_records(out_records, args.out)
     return 0
 
 
 def _cmd_assemble(args) -> int:
-    records = read_jsonl(args.infile)
     out_records = []
-    for record in records:
+    for record in read_jsonl(args.infile):
         new_instances = []
         for inst in record.instances:
             if inst.components is None:
                 raise _UsageError(
                     f"image {record.image!r}: instance has no components to assemble"
                 )
-            new_instances.append(
-                Instance(
-                    polygon=assemble(ComponentSequence(quads=inst.components)),
-                    score=inst.score,
-                    ignore=inst.ignore,
-                )
-            )
-        out_records.append(AnnotationRecord(image=record.image, instances=new_instances))
+            polygon = assemble(ComponentSequence(quads=inst.components))
+            new_instances.append(replace(inst, polygon=polygon, components=None))
+        out_records.append(replace(record, instances=new_instances))
     _write_records(out_records, args.out)
     return 0
 
@@ -155,11 +134,7 @@ def _cmd_piou(args) -> int:
     for lineno, obj in _json_objects(args.pairs):
         if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
             raise ParseError("each pair line needs objects 'a' and 'b'", lineno)
-        pair = []
-        for key in ("a", "b"):
-            wrapped = {"image": "", "instances": [obj[key]]}
-            pair.append(record_from_dict(wrapped, lineno).instances[0])
-        rows.append(pair)
+        rows.append([_instance_from_dict(obj[key], key, lineno) for key in ("a", "b")])
 
     config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
     results = []
@@ -430,9 +405,9 @@ def _cmd_render(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-def _add_common_io(parser, infile_flag="--in", needs_out_default=None):
-    parser.add_argument(infile_flag, dest="infile", required=True, help="input JSONL file")
-    parser.add_argument("--out", default=needs_out_default, help="output path (default stdout)")
+def _add_common_io(parser):
+    parser.add_argument("--in", dest="infile", required=True, help="input JSONL file")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 # Built once: building costs about as much as an eval op, and each discarded

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .geometry import ComponentSequence, Polygon, assemble
+from .geometry import ComponentSequence, Polygon, _as_points, _as_scores, assemble
 
 __all__ = ["FrameGrid", "InstancePrediction", "to_frames", "from_frames"]
 
@@ -23,27 +23,19 @@ ScoreAgg = Literal["mean", "min", "geomean"]
 
 @dataclass
 class FrameGrid:
-    """Component quads arranged frame-major: quads[f, i] is instance i at frame f."""
+    """Component quads arranged frame-major: quads[f, i] is instance i at frame f.
+
+    Quads are checked by ``geometry._as_points`` and scores by
+    ``geometry._as_scores``, the validators ``ComponentSequence`` uses too.
+    """
 
     quads: np.ndarray  # (t, n, 4, 2)
     scores: np.ndarray | None = None  # (t, n)
 
     def __post_init__(self) -> None:
-        self.quads = np.asarray(self.quads, dtype=float)
-        if self.quads.ndim != 4 or self.quads.shape[2:] != (4, 2):
-            raise ValueError(f"quads must have shape (t, n, 4, 2), got {self.quads.shape}")
-        if not np.isfinite(self.quads).all():
-            raise ValueError("quads contain non-finite coordinates")
+        self.quads = _as_points(self.quads, "quads", 0, (4, 2), ("t", "n"))
         if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=float)
-            if self.scores.shape != self.quads.shape[:2]:
-                raise ValueError(
-                    f"scores must have shape {self.quads.shape[:2]}, got {self.scores.shape}"
-                )
-            if not np.isfinite(self.scores).all():
-                raise ValueError("scores contain non-finite values")
-            if ((self.scores < 0.0) | (self.scores > 1.0)).any():
-                raise ValueError("scores must lie in [0, 1]")
+            self.scores = _as_scores(self.scores, "scores", self.quads.shape[:2])
 
     @property
     def frame_count(self) -> int:
@@ -63,8 +55,7 @@ class InstancePrediction:
     components: ComponentSequence = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        self.score = float(_as_scores(self.score, "score", ()))
 
 
 def to_frames(sequences: list[ComponentSequence]) -> FrameGrid:

@@ -34,6 +34,9 @@ __all__ = [
     "is_simple",
 ]
 
+# format_hint of 14-vertex benchmark annotations: 7 vertices per long side.
+CTW1500_FORMAT_HINT = "ctw1500-14pt"
+
 # Segments per knot span when tabulating arc length for resampling.
 TABLE_SEGMENTS_PER_SPAN = 1000
 
@@ -53,15 +56,37 @@ _NEWTON_EXP = np.array([0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 0, 1])
 _NEWTON_MUL = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 2.0, 6.0])
 
 
-def _as_points(arr, name: str, min_points: int) -> np.ndarray:
+def _as_points(
+    arr, name: str, min_len: int, trailing: tuple[int, ...] = (2,), lead: tuple[str, ...] = ("n",)
+) -> np.ndarray:
+    """arr as a float array of shape (*lead, *trailing) with finite entries.
+
+    The one coordinate validator of the package: lead names the free axes
+    for the error message, and the first axis needs at least min_len entries.
+    """
     pts = np.asarray(arr, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"{name} must have shape (n, 2), got {pts.shape}")
-    if pts.shape[0] < min_points:
-        raise ValueError(f"{name} needs at least {min_points} points, got {pts.shape[0]}")
+    if pts.ndim != len(lead) + len(trailing) or pts.shape[len(lead) :] != trailing:
+        expected = ", ".join([*lead, *map(str, trailing)])
+        raise ValueError(f"{name} must have shape ({expected}), got {pts.shape}")
+    if pts.shape[0] < min_len:
+        raise ValueError(f"{name} has {pts.shape[0]} entries, needs at least {min_len}")
     if not np.isfinite(pts).all():
         raise ValueError(f"{name} contains non-finite coordinates")
     return pts
+
+
+def _as_scores(arr, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """arr as a float array of the given shape with every entry in [0, 1].
+
+    The one validator for confidence scores in the package; NaN and
+    infinities fail the range test.
+    """
+    scores = np.asarray(arr, dtype=float)
+    if scores.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {scores.shape}")
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        raise ValueError(f"{name} must be finite and lie in [0, 1]")
+    return scores
 
 
 def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -105,30 +130,18 @@ class ComponentSequence:
     quads has shape (t, 4, 2). Ground-truth chains share edges exactly:
     quads[i][1] == quads[i+1][0] and quads[i][2] == quads[i+1][3]; predicted
     chains may violate this and are reconciled by ``assemble``. scores, when
-    present, holds one confidence per component.
+    present, holds one confidence per component. Quads are checked by
+    ``_as_points`` and scores by ``_as_scores``, the validators every
+    constructor in the package shares.
     """
 
     quads: np.ndarray
     scores: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.quads = np.asarray(self.quads, dtype=float)
-        if self.quads.ndim != 3 or self.quads.shape[1:] != (4, 2):
-            raise ValueError(f"quads must have shape (t, 4, 2), got {self.quads.shape}")
-        if self.quads.shape[0] < 1:
-            raise ValueError("sequence needs at least one component")
-        if not np.isfinite(self.quads).all():
-            raise ValueError("quads contain non-finite coordinates")
+        self.quads = _as_points(self.quads, "quads", 1, (4, 2), ("t",))
         if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=float)
-            if self.scores.shape != (len(self.quads),):
-                raise ValueError(
-                    f"scores must have shape ({len(self.quads)},), got {self.scores.shape}"
-                )
-            if not np.isfinite(self.scores).all():
-                raise ValueError("scores contain non-finite values")
-            if ((self.scores < 0) | (self.scores > 1)).any():
-                raise ValueError("scores must lie in [0, 1]")
+            self.scores = _as_scores(self.scores, "scores", (len(self.quads),))
 
     def __len__(self) -> int:
         return len(self.quads)
@@ -288,18 +301,18 @@ def _poly_vertices(poly) -> np.ndarray:
 def split_long_sides(poly, format_hint: str | None = None) -> TextContour:
     """Split a simple annotation polygon into its two long sides.
 
-    With format_hint="ctw1500-14pt" the fixed layout of 14-vertex annotations
-    is used: vertices 0..6 are one side, vertices 13..7 (reversed into
-    start-aligned order) the other. Otherwise the head and tail edges are
-    found by corner sharpness: edge pairs are ranked by total exterior
-    turning angle at their endpoints, ties broken toward equal side arc
-    lengths, then toward shorter head/tail edges.
+    With format_hint=CTW1500_FORMAT_HINT ("ctw1500-14pt") the fixed layout
+    of 14-vertex annotations is used: vertices 0..6 are one side, vertices
+    13..7 (reversed into start-aligned order) the other. Otherwise the head
+    and tail edges are found by corner sharpness: edge pairs are ranked by
+    total exterior turning angle at their endpoints, ties broken toward
+    equal side arc lengths, then toward shorter head/tail edges.
     """
     v = _poly_vertices(poly)
     n = len(v)
-    if format_hint == "ctw1500-14pt":
+    if format_hint == CTW1500_FORMAT_HINT:
         if n != 14:
-            raise ValueError(f"ctw1500-14pt polygons have 14 vertices, got {n}")
+            raise ValueError(f"{CTW1500_FORMAT_HINT} polygons have 14 vertices, got {n}")
         return TextContour(v[0:7], v[7:14][::-1])
     if format_hint is not None:
         raise ValueError(f"unknown format hint {format_hint!r}")

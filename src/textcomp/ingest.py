@@ -17,14 +17,16 @@ accepted.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .geometry import Polygon
+from .geometry import CTW1500_FORMAT_HINT, Polygon, _as_points, _as_scores
 
 __all__ = [
     "ParseError",
@@ -38,7 +40,6 @@ __all__ = [
     "record_from_dict",
 ]
 
-CTW1500_FORMAT_HINT = "ctw1500-14pt"
 _CTW1500_FIELD_COUNTS = (28, 32)
 
 
@@ -56,7 +57,11 @@ class SchemaError(ParseError):
 
 @dataclass
 class Instance:
-    """One annotated or predicted text instance."""
+    """One annotated or predicted text instance.
+
+    score is checked by ``geometry._as_scores`` and components by
+    ``geometry._as_points``, the validators ``ComponentSequence`` uses too.
+    """
 
     polygon: Polygon
     score: float | None = None
@@ -65,17 +70,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.score is not None:
-            self.score = float(self.score)
-            if not 0.0 <= self.score <= 1.0:
-                raise ValueError(f"score must lie in [0, 1], got {self.score}")
+            self.score = float(_as_scores(self.score, "score", ()))
         if self.components is not None:
-            self.components = np.asarray(self.components, dtype=float)
-            if self.components.ndim != 3 or self.components.shape[1:] != (4, 2):
-                raise ValueError(
-                    f"components must have shape (t, 4, 2), got {self.components.shape}"
-                )
-            if not np.isfinite(self.components).all():
-                raise ValueError("components contain non-finite coordinates")
+            self.components = _as_points(self.components, "components", 0, (4, 2), ("t",))
 
 
 @dataclass
@@ -140,9 +137,7 @@ def _parse_points(obj: Any, what: str, line: int | None) -> np.ndarray:
             f"{what} entries must be [x, y] number pairs",
             line,
         )
-    pts = np.asarray(obj, dtype=float)
-    _require(bool(np.isfinite(pts).all()), f"{what} contains non-finite coordinates", line)
-    return pts
+    return np.asarray(obj, dtype=float)
 
 
 def _instance_from_dict(obj: Any, where: str, line: int | None) -> Instance:
@@ -157,7 +152,6 @@ def _instance_from_dict(obj: Any, where: str, line: int | None) -> Instance:
             f"{where}.score must be a number",
             line,
         )
-        _require(0.0 <= float(score) <= 1.0, f"{where}.score must lie in [0, 1]", line)
     ignore = obj.get("ignore", False)
     _require(isinstance(ignore, bool), f"{where}.ignore must be a boolean", line)
     components = None
@@ -173,7 +167,7 @@ def _instance_from_dict(obj: Any, where: str, line: int | None) -> Instance:
     try:
         return Instance(
             polygon=Polygon(pts),
-            score=None if score is None else float(score),
+            score=score,
             ignore=ignore,
             components=components,
         )
@@ -229,9 +223,16 @@ def read_jsonl(path: str | Path) -> list[AnnotationRecord]:
     return [record_from_dict(obj, lineno) for lineno, obj in _json_objects(path)]
 
 
-def write_jsonl(records: Iterable[AnnotationRecord], path: str | Path) -> None:
-    """Write records as line-delimited JSON with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+def write_jsonl(records: Iterable[AnnotationRecord], dest: str | os.PathLike | TextIO) -> None:
+    """Write records as line-delimited JSON with LF endings.
+
+    dest is a path, which is created or truncated, or an open text stream,
+    which is written to and left open.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        stream = open(dest, "w", encoding="utf-8", newline="\n")
+    else:
+        stream = contextlib.nullcontext(dest)
+    with stream as handle:
         for record in records:
-            handle.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-            handle.write("\n")
+            handle.write(json.dumps(record_to_dict(record), separators=(",", ":")) + "\n")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _as_scores
+
 __all__ = [
     "EPSILON",
     "LossParams",
@@ -58,14 +60,8 @@ class LossValue:
 
 
 def _scores(arr, name: str) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(arr, dtype=float))
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1D array of scores, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} contains non-finite values")
-    if ((x < 0.0) | (x > 1.0)).any():
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return x
+    x = np.atleast_1d(arr)
+    return _as_scores(x, name, (x.size,))  # one axis of any length
 
 
 def _log(x: np.ndarray) -> np.ndarray:

@@ -82,6 +82,26 @@ def test_decompose_ctw_format_hint(tmp_path):
     assert read_jsonl(out)[0].instances[0].components.shape == (6, 4, 2)
 
 
+@pytest.mark.parametrize("command", ["decompose", "assemble", "synth"])
+def test_records_on_stdout_match_records_in_a_file(tmp_path, rect_file, capsys, command):
+    decomposed = tmp_path / "seqs.jsonl"
+    assert run(["decompose", "--in", str(rect_file), "--out", str(decomposed)]) == 0
+    argv = {
+        "decompose": ["decompose", "--in", str(rect_file)],
+        "assemble": ["assemble", "--in", str(decomposed)],
+        "synth": ["synth", "--seed", "3", "--images", "2", "--count", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run([*argv, "--out", "-"]) == 0
+    stdout = capsys.readouterr().out
+    if command == "synth":  # its summary line follows the records
+        stdout = stdout[: stdout.rstrip("\n").rfind("\n") + 1]
+    out = tmp_path / "out.jsonl"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert stdout.encode("utf-8") == out.read_bytes()
+    assert out.read_bytes().count(b"\n") == (1 if command != "synth" else 2)
+
+
 def test_assemble_requires_components(rect_file, capsys):
     assert run(["assemble", "--in", str(rect_file)]) == 1
     assert "no components" in capsys.readouterr().err
@@ -126,6 +146,19 @@ def test_piou_malformed_pair_file(tmp_path, capsys):
     pairs.write_text('{"a": {"polygon": [[0,0],[1,0],[1,1]]}}\n', encoding="utf-8")
     assert run(["piou", "--pairs", str(pairs)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_piou_schema_error_names_the_side(tmp_path, capsys):
+    polygon = [[0.0, 0.0], [60.0, 0.0], [60.0, 10.0], [0.0, 10.0]]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon[:2]}}) + "\n",
+        encoding="utf-8",
+    )
+    assert run(["piou", "--pairs", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1: b.polygon needs at least 3 points" in err
+    assert "instances" not in err
 
 
 def test_piou_invalid_json_names_its_line(tmp_path, capsys):

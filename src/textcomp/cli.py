@@ -307,10 +307,11 @@ def _cmd_grad_check(args) -> int:
         "points": n,
         "epsilon": args.epsilon,
         "tolerance": args.tolerance,
-        "max_relative_error": checks,
+        # a NaN or infinite error is reported as null and fails the check
+        "max_relative_error": {k: v if np.isfinite(v) else None for k, v in checks.items()},
         "pass": passed,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     if not passed:
         raise AssertionError("analytic gradients disagree with finite differences")
     return 0

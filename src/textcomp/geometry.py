@@ -219,10 +219,9 @@ def _bezier_control(sides: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
     """Batched ``bezier_fit_side`` for S sides of equal vertex count, shape (S, m, 2).
 
-    Each side keeps its own schedule: the same chord-length start, up to 32
-    rounds of three Newton steps and a refit, and its own 1e-10 stop. A side
-    that has converged is frozen while the others keep iterating, so every
-    side gets the result it would get alone.
+    Every side runs the same fixed map: the chord-length start, then exactly
+    32 rounds of three Newton steps and a refit. Sides in a batch do not
+    interact, so each gets the result it would get alone.
     """
     chord = np.linalg.norm(np.diff(sides, axis=1), axis=2)
     total = chord.sum(axis=1)
@@ -235,27 +234,21 @@ def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
         t = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(chord, axis=1)], axis=1)
         t /= total[:, None]
         ctrl = _bezier_control(sides, t)
-        live = np.arange(len(sides))
         for _ in range(32):
-            side, t_old = sides[live], t[live]
-            coef = (_BERN @ ctrl[live])[:, None]
-            t_new = t_old
+            coef = (_BERN @ ctrl)[:, None]
             for _ in range(3):
                 # offset from the vertex, first and second derivative at t from one matmul
-                basis = t_new[..., None] ** _NEWTON_EXP * _NEWTON_MUL
-                terms = basis.reshape(*t_new.shape, 3, 4) @ coef
-                terms[:, :, 0] -= side
+                basis = t[..., None] ** _NEWTON_EXP * _NEWTON_MUL
+                terms = basis.reshape(*t.shape, 3, 4) @ coef
+                terms[:, :, 0] -= sides
                 # dots[..., i, j]: term i . term j for j in (offset, first derivative)
                 dots = terms @ terms[:, :, :2].swapaxes(2, 3)
                 f = dots[..., 0, 1]
                 fp = dots[..., 1, 1] + dots[..., 2, 0]
                 step = np.divide(f, fp, out=np.zeros(f.shape), where=np.abs(fp) > 1e-12)
-                t_new = np.minimum(np.maximum(t_new - step, 0.0), 1.0)
-            t_new[:, 0], t_new[:, -1] = 0.0, 1.0
-            t[live], ctrl[live] = t_new, _bezier_control(side, t_new)
-            live = live[~(np.abs(t_new - t_old).max(axis=1) < 1e-10)]
-            if not live.size:
-                break
+                t = np.minimum(np.maximum(t - step, 0.0), 1.0)
+            t[:, 0], t[:, -1] = 0.0, 1.0
+            ctrl = _bezier_control(sides, t)
     out = np.empty((len(sides), m, 2))
     for i, coef in enumerate(_BERN @ ctrl):
         params = _arc_length_params(coef[None], _UNIT_SPAN, m)
@@ -273,7 +266,8 @@ def bezier_fit_side(side, m: int) -> np.ndarray:
     Endpoints are pinned to the side's endpoints. Starting from chord-length
     parameters, the fit alternates solving for the two interior control
     points with Newton reprojection of the side's vertices onto the current
-    curve (Hoschek-style parameter correction). Output points are equally
+    curve (Hoschek-style parameter correction), for exactly 32 rounds of
+    three Newton steps and a refit. Output points are equally
     spaced in arc length along the fitted curve (the polyline table of
     ``_arc_length_params`` on the single span [0, 1]), and the first and
     last coincide exactly with the side's endpoints. This is the one-side
@@ -400,14 +394,14 @@ def contour_polygon(contour: TextContour) -> Polygon:
     return Polygon(np.concatenate([contour.side_a, contour.side_b[::-1]], axis=0))
 
 
-def has_shared_edges(seq: ComponentSequence, tol: float = 1e-6) -> bool:
-    """True if adjacent quads agree about their shared edge within tol."""
+def has_shared_edges(seq: ComponentSequence) -> bool:
+    """True if adjacent quads agree about their shared edge within 1e-6."""
     q = seq.quads
     if len(q) < 2:
         return True
     top = np.abs(q[:-1, 1] - q[1:, 0]).max()
     bot = np.abs(q[:-1, 2] - q[1:, 3]).max()
-    return bool(max(top, bot) <= tol)
+    return bool(max(top, bot) <= 1e-6)
 
 
 def is_simple(poly) -> bool:

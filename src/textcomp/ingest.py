@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .geometry import CTW1500_FORMAT_HINT, Polygon, _as_points, _as_scores
+from .geometry import Polygon, _as_points, _as_scores
 
 __all__ = [
     "ParseError",
@@ -81,24 +81,16 @@ class AnnotationRecord:
 
     image: str
     instances: list[Instance] = field(default_factory=list)
-    format_hint: str | None = None
 
 
-def _lines(source: str | Iterable[str]) -> list[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return [line.rstrip("\r\n") for line in source]
+def read_ctw1500(content: str, image: str = "") -> AnnotationRecord:
+    """Parse one image's annotation file content in the 14-point benchmark format.
 
-
-def read_ctw1500(source: str | Iterable[str], image: str = "") -> AnnotationRecord:
-    """Parse one image's annotation lines in the 14-point benchmark format.
-
-    source is the file content or an iterable of lines. Each non-empty line
-    must hold 28 or 32 comma-separated integers; the last 28 are the x,y
-    pairs of the 14 outline points.
+    Each non-empty line must hold 28 or 32 comma-separated integers; the
+    last 28 are the x,y pairs of the 14 outline points.
     """
     instances: list[Instance] = []
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue
@@ -115,12 +107,12 @@ def read_ctw1500(source: str | Iterable[str], image: str = "") -> AnnotationReco
                 values.append(int(item.strip()))
             except ValueError:
                 raise ParseError(f"field {pos} is not an integer: {item.strip()!r}", lineno) from None
-        coords = np.asarray(values[-28:], dtype=float).reshape(14, 2)
         try:
+            coords = np.asarray(values[-28:], dtype=float).reshape(14, 2)
             instances.append(Instance(polygon=Polygon(coords)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
             raise SchemaError(str(exc), lineno) from None
-    return AnnotationRecord(image=image, instances=instances, format_hint=CTW1500_FORMAT_HINT)
+    return AnnotationRecord(image=image, instances=instances)
 
 
 def _require(condition: bool, message: str, line: int | None) -> None:
@@ -205,14 +197,19 @@ def record_to_dict(record: AnnotationRecord) -> dict:
 
 
 def _json_objects(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line number, parsed value) per non-blank line of a JSON-lines file."""
+    """Yield (line number, parsed value) per non-blank line of a JSON-lines file.
+
+    Integer literals are read as floats, like every other number: one beyond
+    float range becomes inf, as a float literal beyond it already does, and
+    fails the schema's finiteness check instead of overflowing later.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
             if not text:
                 continue
             try:
-                obj = json.loads(text)
+                obj = json.loads(text, parse_int=float)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
             yield lineno, obj

@@ -156,19 +156,19 @@ def finite_diff_check(loss_fn, x, epsilon: float = 1e-6) -> float:
     """Largest relative gap between analytic and central-difference gradients.
 
     loss_fn maps a 1D score array to a LossValue; the deviation per
-    coordinate is |analytic - numeric| / max(1, |analytic|).
+    coordinate is |analytic - numeric| / max(1, |analytic|). A NaN gradient
+    or value makes the result NaN.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     x = np.asarray(x, dtype=float)
     analytic = loss_fn(x).grad_scores
-    worst = 0.0
+    devs = np.empty(x.size)
     for i in range(x.size):
         hi = x.copy()
         lo = x.copy()
         hi[i] += epsilon
         lo[i] -= epsilon
         numeric = (loss_fn(hi).value - loss_fn(lo).value) / (2.0 * epsilon)
-        dev = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, dev)
-    return worst
+        devs[i] = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
+    return float(devs.max(initial=0.0))  # np.max propagates NaN, builtin max drops it

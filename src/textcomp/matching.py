@@ -85,10 +85,10 @@ def _cost_matrix(
     """Padded (n, n) pair costs; columns from len(gts) on are background."""
     n = len(preds)
     scores = np.stack([_pred_scores(p) for p in preds])  # (n, t)
-    pos_terms, _ = _focal_terms(scores, np.True_, params.focal_alpha, params.focal_gamma)
-    neg_terms, _ = _focal_terms(scores, np.False_, params.focal_alpha, params.focal_gamma)
-    pos_cls = pos_terms.sum(axis=1)  # (n,)
-    neg_cls = neg_terms.sum(axis=1)
+    # one pass over both targets: terms[0] positive, terms[1] background, each (n, t)
+    positive = np.array([True, False])[:, None, None]
+    terms, _ = _focal_terms(scores, positive, params.focal_alpha, params.focal_gamma)
+    pos_cls, neg_cls = terms.sum(axis=2)  # (n,) each
     cost = np.tile((params.cls_weight * neg_cls)[:, None], (1, n))
     if gts:
         pred_quads = np.stack([p.quads for p in preds])  # (n, t, 4, 2)

@@ -31,6 +31,10 @@ __all__ = ["RibbonParams", "GenerationError", "gen_ribbon", "perturb", "gen_scen
 SCORE_NOISE_SLOPE = 0.1
 
 _DENSE_STEPS = 256
+# Knots of the piecewise-linear heading profile.
+_HEADING_KNOTS = 16
+# Draws per ribbon before gen_ribbon gives up.
+_MAX_ATTEMPTS = 32
 
 
 class GenerationError(RuntimeError):
@@ -48,9 +52,7 @@ class RibbonParams:
     length: tuple[float, float] = (120.0, 200.0)
     half_width: tuple[float, float] = (16.0, 28.0)
     curvature: float = 0.006
-    heading_knots: int = 16
     side_vertices: int = 7
-    max_retries: int = 32
 
     def __post_init__(self) -> None:
         for name in ("length", "half_width"):
@@ -59,20 +61,16 @@ class RibbonParams:
                 raise ValueError(f"{name} range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
         if self.curvature < 0.0:
             raise ValueError(f"curvature must be >= 0, got {self.curvature}")
-        if self.heading_knots < 2:
-            raise ValueError(f"heading_knots must be >= 2, got {self.heading_knots}")
         if self.side_vertices < 2:
             raise ValueError(f"side_vertices must be >= 2, got {self.side_vertices}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 def _ribbon_attempt(rng: np.random.Generator, params: RibbonParams) -> TextContour:
     length = rng.uniform(*params.length)
-    seg = length / (params.heading_knots - 1)
+    seg = length / (_HEADING_KNOTS - 1)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
-    turns = rng.uniform(-params.curvature * seg, params.curvature * seg, params.heading_knots - 1)
-    knot_s = np.linspace(0.0, length, params.heading_knots)
+    turns = rng.uniform(-params.curvature * seg, params.curvature * seg, _HEADING_KNOTS - 1)
+    knot_s = np.linspace(0.0, length, _HEADING_KNOTS)
     knot_theta = theta0 + np.concatenate([[0.0], np.cumsum(turns)])
 
     s = np.linspace(0.0, length, _DENSE_STEPS)
@@ -97,12 +95,12 @@ def gen_ribbon(seed: int, params: RibbonParams | None = None) -> TextContour:
     """Generate one ribbon contour whose outline is a simple polygon."""
     params = params or RibbonParams()
     rng = np.random.default_rng(seed)
-    for _ in range(params.max_retries):
+    for _ in range(_MAX_ATTEMPTS):
         contour = _ribbon_attempt(rng, params)
         if is_simple(contour_polygon(contour)):
             return contour
     raise GenerationError(
-        f"no simple ribbon outline found in {params.max_retries} attempts for seed {seed}"
+        f"no simple ribbon outline found in {_MAX_ATTEMPTS} attempts for seed {seed}"
     )
 
 

@@ -16,6 +16,7 @@ from textcomp import (
     write_jsonl,
 )
 from textcomp.cli import CURVATURE_LEVELS, run
+from textcomp.losses import LossValue
 
 
 def rect_record(image="img", x0=0.0, y0=0.0, score=None):
@@ -105,6 +106,32 @@ def test_records_on_stdout_match_records_in_a_file(tmp_path, rect_file, capsys, 
 def test_assemble_requires_components(rect_file, capsys):
     assert run(["assemble", "--in", str(rect_file)]) == 1
     assert "no components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["score", "coordinate"])
+def test_number_beyond_float_range_is_input_error(tmp_path, capsys, field):
+    # A 401-digit JSON integer does not fit a float; converting it raised
+    # OverflowError, which the CLI reported as an internal error (exit 2).
+    big = "9" * 401
+    polygon = f"[[0,0],[{big},0],[1,1]]" if field == "coordinate" else "[[0,0],[1,0],[1,1]]"
+    score = f',"score":{big}' if field == "score" else ""
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"image":"a","instances":[]}\n'
+                    f'{{"image":"b","instances":[{{"polygon":{polygon}{score}}}]}}\n')
+    for argv in (["assemble", "--in", str(path)], ["eval", "--preds", str(path), "--gts", str(path)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("textcomp: line 2: instances[0]")
+
+
+def test_ctw_integer_beyond_float_range_is_input_error(tmp_path, capsys):
+    raw = tmp_path / "annots.txt"
+    raw.write_text(",".join(["9" * 401] + ["1"] * 27) + "\n", encoding="utf-8")
+    assert run(["decompose", "--in", str(raw), "--format-hint", "ctw1500-14pt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("textcomp: line 1:")
 
 
 # ---------------------------------------------------------------------- piou
@@ -392,6 +419,21 @@ def test_grad_check_passes_and_reports(capsys):
 def test_grad_check_impossible_tolerance_is_invariant_failure(capsys):
     code = run(["grad-check", "--points", "50", "--tolerance", "1e-18"])
     assert code == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_grad_check_nan_gradient_fails_with_strict_json(capsys, monkeypatch):
+    def nan_focal(x, positive):
+        return LossValue(float("nan"), np.full(x.shape, np.nan))
+
+    monkeypatch.setattr("textcomp.cli.focal_loss", nan_focal)
+    assert run(["grad-check", "--points", "10"]) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["pass"] is False
+    assert payload["max_relative_error"]["focal_loss"] is None
 
 
 # ------------------------------------------------------------ interp-compare

@@ -181,6 +181,15 @@ def test_decompose_shares_edges_exactly():
     assert has_shared_edges(seq)
 
 
+def test_has_shared_edges_tolerance():
+    seq = decompose(gen_ribbon(11), 6)
+    assert has_shared_edges(ComponentSequence(quads=seq.quads[:1]))
+    for shift, shared in ((1e-3, False), (1e-9, True)):
+        quads = seq.quads.copy()
+        quads[3, 0, 1] += shift  # the top corner quad 3 shares with quad 2
+        assert has_shared_edges(ComponentSequence(quads=quads)) is shared
+
+
 def test_decompose_single_component():
     seq = decompose(rect_contour(), 1)
     assert seq.quads.shape == (1, 4, 2)

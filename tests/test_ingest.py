@@ -65,7 +65,6 @@ def test_ctw_28_field_line():
     line = ",".join(str(v) for v in range(28))
     record = read_ctw1500(line, image="sample")
     assert record.image == "sample"
-    assert record.format_hint == "ctw1500-14pt"
     polygon = record.instances[0].polygon
     assert polygon.vertices.shape == (14, 2)
     assert polygon.vertices[0].tolist() == [0.0, 1.0]
@@ -83,13 +82,6 @@ def test_ctw_multiple_lines_and_blanks():
     line = ",".join(str(v) for v in range(28))
     record = read_ctw1500(f"\n{line}\n\n{line}\n")
     assert len(record.instances) == 2
-
-
-def test_ctw_accepts_iterable_of_lines():
-    line = ",".join(str(v) for v in range(28))
-    from_string = read_ctw1500(f"{line}\n{line}")
-    from_lines = read_ctw1500([line, line])
-    assert len(from_string.instances) == len(from_lines.instances) == 2
 
 
 def test_ctw_empty_input():

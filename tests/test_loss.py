@@ -200,6 +200,20 @@ def test_psc_stationary_at_soft_targets():
     assert np.max(np.abs(result.grad_scores)) <= 1e-8
 
 
+def test_finite_diff_check_propagates_nan():
+    x = np.linspace(0.1, 0.9, 5)
+
+    def nan_gradient(s):
+        return LossValue(float(s.sum()), np.where(np.arange(s.size) == 2, np.nan, 1.0))
+
+    def nan_value(s):
+        return LossValue(float("nan") if s[0] > 0.1 else float(s.sum()), np.ones(s.size))
+
+    assert np.isnan(finite_diff_check(nan_gradient, x))
+    assert np.isnan(finite_diff_check(nan_value, x))
+    assert finite_diff_check(lambda s: LossValue(float(s.sum()), np.ones(s.size)), x) < 1e-6
+
+
 def test_psc_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     pious = rng.uniform(0.05, 0.95, 50)

@@ -73,8 +73,6 @@ def test_params_validation():
         RibbonParams(length=(200.0, 100.0))
     with pytest.raises(ValueError):
         RibbonParams(side_vertices=1)
-    with pytest.raises(ValueError):
-        RibbonParams(max_retries=0)
 
 
 # ------------------------------------------------------------------- perturb

@@ -50,19 +50,25 @@ _UNIT_SPAN = np.array([0.0, 1.0])
 _BERN = np.array(
     [[1.0, 0.0, 0.0, 0.0], [-3.0, 3.0, 0.0, 0.0], [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]
 )
-# Rows of t powers times multipliers for the curve and its first two derivatives:
-# [1, t, t^2, t^3], [0, 1, 2t, 3t^2] and [0, 0, 2, 6t].
-_NEWTON_EXP = np.array([0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 0, 1])
-_NEWTON_MUL = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 2.0, 6.0])
+
+# Largest coordinate magnitude the package accepts. Two accepted coordinates
+# differ by at most 2e150, so a squared difference or a product of two
+# differences is at most 4e300: the squared steps of the arc-length table,
+# the side lengths in sample_interior, and piou_exact's crossing test and
+# covered length times slab height all stay finite. That leaves a factor of
+# about 4e7 below float64's 1.8e308 for the sums of such terms and for Bezier
+# control points that lie outside the vertices' box.
+COORD_BOUND = 1e150
 
 
 def _as_points(
     arr, name: str, min_len: int, trailing: tuple[int, ...] = (2,), lead: tuple[str, ...] = ("n",)
 ) -> np.ndarray:
-    """arr as a float array of shape (*lead, *trailing) with finite entries.
+    """arr as a float array of shape (*lead, *trailing) with entries in [-COORD_BOUND, COORD_BOUND].
 
     The one coordinate validator of the package: lead names the free axes
     for the error message, and the first axis needs at least min_len entries.
+    NaN and infinities fail the range test.
     """
     pts = np.asarray(arr, dtype=float)
     if pts.ndim != len(lead) + len(trailing) or pts.shape[len(lead) :] != trailing:
@@ -70,8 +76,9 @@ def _as_points(
         raise ValueError(f"{name} must have shape ({expected}), got {pts.shape}")
     if pts.shape[0] < min_len:
         raise ValueError(f"{name} has {pts.shape[0]} entries, needs at least {min_len}")
-    if not np.isfinite(pts).all():
-        raise ValueError(f"{name} contains non-finite coordinates")
+    # max propagates NaN, and NaN compares false
+    if pts.size and not np.abs(pts).max() <= COORD_BOUND:
+        raise ValueError(f"{name} has coordinates that are not finite or exceed {COORD_BOUND:g}")
     return pts
 
 
@@ -201,54 +208,33 @@ def resample_side(side, m: int) -> np.ndarray:
     return pts
 
 
-def _bezier_control(sides: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Least-squares control points at fixed parameters t, shape (S, 4, 2).
-
-    The end control points are pinned to each side's endpoints; the two
-    interior ones are each side's lstsq solution, which is also defined for
-    the rank-1 system of a 3-vertex side.
-    """
-    p0, p3 = sides[:, :1], sides[:, -1:]
-    s = 1.0 - t
-    basis = np.stack([3.0 * t * s**2, 3.0 * t**2 * s], axis=2)
-    rhs = sides - (s**3)[..., None] * p0 - (t**3)[..., None] * p3
-    interior = [np.linalg.lstsq(b, r, rcond=None)[0] for b, r in zip(basis, rhs)]
-    return np.concatenate([p0, np.stack(interior), p3], axis=1)
-
-
 def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
     """Batched ``bezier_fit_side`` for S sides of equal vertex count, shape (S, m, 2).
 
-    Every side runs the same fixed map: the chord-length start, then exactly
-    32 rounds of three Newton steps and a refit. Sides in a batch do not
-    interact, so each gets the result it would get alone.
+    Each side is fitted on its own by the chord-length construction: every
+    vertex gets its cumulative chord length over the total as its parameter
+    t, the end control points are the side's endpoints, and the two interior
+    ones are the minimum-norm least-squares solution at those fixed t. They
+    are solved as offsets from the straight-segment controls p0 + (p3 - p0)/3
+    and p0 + 2(p3 - p0)/3 against each vertex's offset from p0 + t(p3 - p0),
+    so the fit moves with the side under translation and rotation even where
+    the system is rank-deficient (3 vertices, or interior vertices equal to
+    an endpoint). A 2-vertex side has no interior equations and gives the
+    straight segment.
     """
     chord = np.linalg.norm(np.diff(sides, axis=1), axis=2)
     total = chord.sum(axis=1)
     if (total == 0.0).any():
         raise ValueError("cannot fit a curve through coincident points")
-    p0, p3 = sides[:, 0], sides[:, -1]
-    if sides.shape[1] == 2:
-        ctrl = np.stack([p0, p0 + (p3 - p0) / 3.0, p0 + 2.0 * (p3 - p0) / 3.0, p3], axis=1)
-    else:
-        t = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(chord, axis=1)], axis=1)
-        t /= total[:, None]
-        ctrl = _bezier_control(sides, t)
-        for _ in range(32):
-            coef = (_BERN @ ctrl)[:, None]
-            for _ in range(3):
-                # offset from the vertex, first and second derivative at t from one matmul
-                basis = t[..., None] ** _NEWTON_EXP * _NEWTON_MUL
-                terms = basis.reshape(*t.shape, 3, 4) @ coef
-                terms[:, :, 0] -= sides
-                # dots[..., i, j]: term i . term j for j in (offset, first derivative)
-                dots = terms @ terms[:, :, :2].swapaxes(2, 3)
-                f = dots[..., 0, 1]
-                fp = dots[..., 1, 1] + dots[..., 2, 0]
-                step = np.divide(f, fp, out=np.zeros(f.shape), where=np.abs(fp) > 1e-12)
-                t = np.minimum(np.maximum(t - step, 0.0), 1.0)
-            t[:, 0], t[:, -1] = 0.0, 1.0
-            ctrl = _bezier_control(sides, t)
+    p0, d = sides[:, :1], sides[:, -1:] - sides[:, :1]
+    t = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(chord, axis=1)], axis=1)
+    t /= total[:, None]
+    s = 1.0 - t
+    basis = np.stack([3.0 * t * s**2, 3.0 * t**2 * s], axis=2)
+    rhs = sides - p0 - t[..., None] * d
+    offset = np.stack([np.linalg.lstsq(b, r, rcond=None)[0] for b, r in zip(basis, rhs)])
+    interior = p0 + np.array([[1.0], [2.0]]) * d / 3.0 + offset
+    ctrl = np.concatenate([p0, interior, sides[:, -1:]], axis=1)
     out = np.empty((len(sides), m, 2))
     for i, coef in enumerate(_BERN @ ctrl):
         params = _arc_length_params(coef[None], _UNIT_SPAN, m)
@@ -261,24 +247,18 @@ def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
 
 
 def bezier_fit_side(side, m: int) -> np.ndarray:
-    """Resample a side into m points along a least-squares cubic Bezier fit.
+    """Resample a side into m points along its least-squares cubic Bezier fit.
 
-    Endpoints are pinned to the side's endpoints. Starting from chord-length
-    parameters, the fit alternates solving for the two interior control
-    points with Newton reprojection of the side's vertices onto the current
-    curve (Hoschek-style parameter correction), for exactly 32 rounds of
-    three Newton steps and a refit. Output points are equally
-    spaced in arc length along the fitted curve (the polyline table of
-    ``_arc_length_params`` on the single span [0, 1]), and the first and
-    last coincide exactly with the side's endpoints. This is the one-side
-    case of the batched fit that ``decompose`` runs on both sides at once.
-
-    On scattered point clouds and on sides with runs of vertices equal to an
-    endpoint the reprojection need not settle in 32 rounds, and the fit moves
-    by up to about 0.15 of the side's scale under rounding-level changes of
-    its input or arithmetic. There the points differ from those of earlier
-    versions (which evaluated the curve in Bernstein form) by as much, while
-    the vertices are fitted as closely on the whole.
+    The fit is ABCNet's construction (Liu et al., CVPR 2020): one linear
+    least-squares solve at cumulative chord-length parameters, with the end
+    control points pinned to the side's endpoints and the interior ones the
+    minimum-norm offsets from the chord (see ``_bezier_fit_sides``). There is
+    no parameter reprojection, so the fit is a closed form of its input.
+    Output points are equally spaced in arc length along the fitted curve
+    (the polyline table of ``_arc_length_params`` on the single span
+    [0, 1]), and the first and last coincide exactly with the side's
+    endpoints. This is the one-side case of the batched fit that
+    ``decompose`` runs on both sides at once.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
@@ -350,7 +330,8 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
     Both fits place the points with the polyline table of
     ``_arc_length_params``. Under "bezier", two sides with the same vertex
     count are fitted in one batch, each to what ``bezier_fit_side`` gives it
-    alone; otherwise they are fitted one at a time.
+    alone; otherwise they are fitted one at a time. Points a fit places
+    beyond COORD_BOUND are clamped to it.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -366,6 +347,8 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
     else:
         raise ValueError(f"unknown resampling method {method!r}")
     quads = np.stack([a[:-1], a[1:], b[1:], b[:-1]], axis=1)
+    # a fit can overshoot the vertices, so a contour near the bound still decomposes
+    np.clip(quads, -COORD_BOUND, COORD_BOUND, out=quads)
     return ComponentSequence(quads=quads, scores=None)
 
 
@@ -426,7 +409,8 @@ def is_simple(poly) -> bool:
     rel_b = b[None, :, :] - a[:, None, :]
     s1 = _cross(e[:, None, :], rel_a)
     s2 = _cross(e[:, None, :], rel_b)
-    straddle = s1 * s2 < 0.0
+    # signs, not the product: a product of two crosses can overflow or underflow
+    straddle = np.sign(s1) * np.sign(s2) < 0.0
     proper = straddle & straddle.T
     # endpoint of edge j lying exactly on edge i
     lo = np.minimum(a, b)[:, None, :]

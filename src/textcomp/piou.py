@@ -72,22 +72,18 @@ def sample_interior(seq: ComponentSequence, k: int) -> np.ndarray:
     image space). A folded (self-intersecting) quad is therefore sampled
     over the image of its bilinear map, not over its even-odd region.
     When the grid has more than k points, k of them are kept at evenly
-    spaced row-major indices. Raises ValueError when the chain's summed side
-    lengths overflow float64.
+    spaced row-major indices.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = seq.quads
-    with np.errstate(over="ignore"):
-        top = np.linalg.norm(q[:, 1] - q[:, 0], axis=1)
-        bot = np.linalg.norm(q[:, 2] - q[:, 3], axis=1)
-        left = np.linalg.norm(q[:, 3] - q[:, 0], axis=1)
-        right = np.linalg.norm(q[:, 2] - q[:, 1], axis=1)
-        arc = 0.5 * (top + bot)
-        total_arc = arc.sum()
-        width = float(np.mean(0.5 * (left + right)))
-    if not (math.isfinite(total_arc) and math.isfinite(width)):
-        raise ValueError("the chain's side lengths overflow float64: coordinates too large")
+    top = np.linalg.norm(q[:, 1] - q[:, 0], axis=1)
+    bot = np.linalg.norm(q[:, 2] - q[:, 3], axis=1)
+    left = np.linalg.norm(q[:, 3] - q[:, 0], axis=1)
+    right = np.linalg.norm(q[:, 2] - q[:, 1], axis=1)
+    arc = 0.5 * (top + bot)
+    total_arc = arc.sum()
+    width = float(np.mean(0.5 * (left + right)))
     if total_arc > 0.0 and width > 0.0:
         aspect = total_arc / width
     else:

@@ -200,9 +200,10 @@ def test_piou_invalid_json_names_its_line(tmp_path, capsys):
 
 
 def test_piou_non_finite_value_fails_without_printing_json(tmp_path, capsys):
-    # A square at 1e300 overflows the exact kernel to NaN. Strict JSON has no
-    # NaN, so the run reports an input error and writes nothing to stdout.
-    polygon = [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]]
+    # An edge 1e150 wide and 1e-200 tall has a slope past float64, and the
+    # exact kernel returns NaN. Strict JSON has no NaN, so the run reports
+    # an input error and writes nothing to stdout.
+    polygon = [[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]]
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(
         json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n",
@@ -333,35 +334,46 @@ def test_eval_mc_rejects_unsplittable_truth_without_predictions(tmp_path, capsys
 
 
 @pytest.mark.parametrize("kind", ["piou-exact", "biou"])
-def test_eval_nan_overlap_is_input_error(tmp_path, capsys, kind):
-    # A square at 1e300 overflows both kernels to NaN. Scored as below the
-    # threshold it would report precision 0 and recall 0 with exit 0.
-    square = Polygon(np.array([[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]]))
-    path = tmp_path / "huge.jsonl"
-    write_jsonl([AnnotationRecord(image="img", instances=[Instance(polygon=square, score=1.0)])], path)
-    with np.errstate(all="ignore"):
-        code = run(["eval", "--preds", str(path), "--gts", str(path), "--iou-kind", kind])
+def test_eval_nan_overlap_is_input_error(tmp_path, capsys, monkeypatch, kind):
+    # A kernel that overflows returns NaN (piou_exact does on an edge whose
+    # slope passes float64). Scored as below the threshold it would report
+    # precision 0 and recall 0 with exit 0.
+    # the package's evaluate function shadows its module
+    module = sys.modules["textcomp.evaluate"]
+    monkeypatch.setattr(module, kind.replace("-", "_"), lambda a, b: float("nan"))
+    path = tmp_path / "rects.jsonl"
+    write_jsonl([rect_record()], path)
+    code = run(["eval", "--preds", str(path), "--gts", str(path), "--iou-kind", kind])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "NaN" in captured.err
 
 
-def test_eval_mc_names_an_overflowing_chain(tmp_path, capsys):
-    # Components at 1e300 reach sample_interior as they are; squaring their
-    # side vectors overflows, and the run must say so without a warning.
-    square = np.array([[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]])
-    instance = Instance(polygon=Polygon(square), score=1.0, components=square[None])
-    path = tmp_path / "huge.jsonl"
-    write_jsonl([AnnotationRecord(image="img", instances=[instance])], path)
-    argv = ["eval", "--preds", str(path), "--gts", str(path), "--iou-kind", "piou-mc"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--in", "{path}"],
+        ["decompose", "--in", "{path}", "--method", "bezier"],
+        ["eval", "--preds", "{path}", "--gts", "{path}", "--iou-kind", "piou-mc"],
+        ["piou", "--pairs", "{pairs}", "--exact"],
+    ],
+    ids=["decompose", "decompose-bezier", "eval-mc", "piou"],
+)
+def test_coordinates_past_the_bound_are_input_errors(tmp_path, capsys, argv):
+    # A square at 1e300 used to decompose into collapsed quads with exit 0,
+    # and to overflow the kernels; now its line is rejected as it is read.
+    square = [[0.0, 0.0], [1e300, 0.0], [1e300, 1e300], [0.0, 1e300]]
+    path, pairs = tmp_path / "huge.jsonl", tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps({"image": "a", "instances": [{"polygon": square}]}) + "\n")
+    pairs.write_text(json.dumps({"a": {"polygon": square}, "b": {"polygon": square}}) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(argv)
+        code = run([arg.format(path=path, pairs=pairs) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "side lengths overflow float64" in captured.err
+    assert "line 1:" in captured.err and "exceed 1e+150" in captured.err
     assert caught == []
 
 

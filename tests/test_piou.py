@@ -25,6 +25,7 @@ from textcomp import (
     sample_interior,
     contour_polygon,
 )
+from textcomp.geometry import COORD_BOUND
 from textcomp.piou import _GRID_CELLS
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
@@ -111,13 +112,16 @@ def test_sample_rejects_bad_k():
         sample_interior(ComponentSequence(UNIT_QUAD), 0)
 
 
-def test_sample_names_an_overflowing_chain_without_warning():
-    # Squaring 1e300 side vectors overflows; the error names the cause and
-    # no RuntimeWarning comes first.
+def test_sample_at_the_coordinate_bound_is_finite():
+    # Chains are bounded by COORD_BOUND, so squaring their side vectors never
+    # overflows; a chain at 1e300 is rejected when it is built.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="side lengths overflow float64"):
-            sample_interior(ComponentSequence(UNIT_QUAD * 1e300), 100)
+        pts = sample_interior(ComponentSequence(UNIT_QUAD * COORD_BOUND), 100)
+    assert np.isfinite(pts).all()
+    assert np.allclose(pts, sample_interior(ComponentSequence(UNIT_QUAD), 100) * COORD_BOUND)
+    with pytest.raises(ValueError, match="exceed"):
+        ComponentSequence(UNIT_QUAD * 1e300)
 
 
 def _pointwise_sample(seq, k):

@@ -20,6 +20,7 @@ from textcomp import (
     psc_loss,
     record_from_dict,
 )
+from textcomp.geometry import COORD_BOUND
 
 SQUARE = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
 QUADS = np.stack([SQUARE, SQUARE + [4.0, 0.0]])  # (2, 4, 2)
@@ -59,7 +60,16 @@ SCORE_TARGETS = {
     "record_from_dict": lambda s: _record({"polygon": SQUARE.tolist(), "score": s[0]}),
 }
 
-COORD_FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "shape": None}
+# Just past the bound either way; COORD_BOUND itself is accepted.
+PAST_BOUND = np.nextafter(COORD_BOUND, np.inf)
+COORD_FAULTS = {
+    "nan": np.nan,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "past_bound": PAST_BOUND,
+    "-past_bound": -PAST_BOUND,
+    "shape": None,
+}
 SCORE_FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "below": -0.1, "above": 1.5}
 
 
@@ -82,6 +92,15 @@ def test_coordinate_constructors_reject_bad_coordinates(name, fault):
         bad = good.copy()
         bad.flat[-1] = COORD_FAULTS[fault]
     _expect_rejection(name, build, bad)
+
+
+@pytest.mark.parametrize("value", [COORD_BOUND, -COORD_BOUND])
+@pytest.mark.parametrize("name", COORD_TARGETS)
+def test_coordinate_constructors_accept_the_bound(name, value):
+    good, build = COORD_TARGETS[name]
+    edge = good.copy()
+    edge.flat[-1] = value
+    build(edge)
 
 
 @pytest.mark.parametrize("fault", SCORE_FAULTS)

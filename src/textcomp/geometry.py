@@ -208,62 +208,42 @@ def resample_side(side, m: int) -> np.ndarray:
     return pts
 
 
-def _bezier_fit_sides(sides: np.ndarray, m: int) -> np.ndarray:
-    """Batched ``bezier_fit_side`` for S sides of equal vertex count, shape (S, m, 2).
-
-    Each side is fitted on its own by the chord-length construction: every
-    vertex gets its cumulative chord length over the total as its parameter
-    t, the end control points are the side's endpoints, and the two interior
-    ones are the minimum-norm least-squares solution at those fixed t. They
-    are solved as offsets from the straight-segment controls p0 + (p3 - p0)/3
-    and p0 + 2(p3 - p0)/3 against each vertex's offset from p0 + t(p3 - p0),
-    so the fit moves with the side under translation and rotation even where
-    the system is rank-deficient (3 vertices, or interior vertices equal to
-    an endpoint). A 2-vertex side has no interior equations and gives the
-    straight segment.
-    """
-    chord = np.linalg.norm(np.diff(sides, axis=1), axis=2)
-    total = chord.sum(axis=1)
-    if (total == 0.0).any():
-        raise ValueError("cannot fit a curve through coincident points")
-    p0, d = sides[:, :1], sides[:, -1:] - sides[:, :1]
-    t = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(chord, axis=1)], axis=1)
-    t /= total[:, None]
-    s = 1.0 - t
-    basis = np.stack([3.0 * t * s**2, 3.0 * t**2 * s], axis=2)
-    rhs = sides - p0 - t[..., None] * d
-    offset = np.stack([np.linalg.lstsq(b, r, rcond=None)[0] for b, r in zip(basis, rhs)])
-    interior = p0 + np.array([[1.0], [2.0]]) * d / 3.0 + offset
-    ctrl = np.concatenate([p0, interior, sides[:, -1:]], axis=1)
-    out = np.empty((len(sides), m, 2))
-    for i, coef in enumerate(_BERN @ ctrl):
-        params = _arc_length_params(coef[None], _UNIT_SPAN, m)
-        if params is None:
-            out[i] = sides[i, 0]
-        else:
-            out[i] = params[:, None] ** _POWERS @ coef
-            out[i, [0, -1]] = sides[i, [0, -1]]  # the power basis can miss an endpoint by an ulp
-    return out
-
-
 def bezier_fit_side(side, m: int) -> np.ndarray:
     """Resample a side into m points along its least-squares cubic Bezier fit.
 
-    The fit is ABCNet's construction (Liu et al., CVPR 2020): one linear
-    least-squares solve at cumulative chord-length parameters, with the end
-    control points pinned to the side's endpoints and the interior ones the
-    minimum-norm offsets from the chord (see ``_bezier_fit_sides``). There is
-    no parameter reprojection, so the fit is a closed form of its input.
-    Output points are equally spaced in arc length along the fitted curve
-    (the polyline table of ``_arc_length_params`` on the single span
-    [0, 1]), and the first and last coincide exactly with the side's
-    endpoints. This is the one-side case of the batched fit that
-    ``decompose`` runs on both sides at once.
+    The fit is ABCNet's construction (Liu et al., CVPR 2020): every vertex
+    gets its cumulative chord length over the total as its parameter, the
+    end control points are the side's endpoints, and the two interior ones
+    are the minimum-norm least-squares solution at those fixed parameters,
+    solved as offsets from the straight chord. There is no parameter
+    reprojection, so the fit is a closed form of its input; a 2-vertex side
+    gives the straight segment. Output points are equally spaced in arc
+    length along the fitted curve (the polyline table of
+    ``_arc_length_params`` on the single span [0, 1]), and the first and
+    last coincide exactly with the side's endpoints.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    return _bezier_fit_sides(side[None], m)[0]
+    chord = np.linalg.norm(np.diff(side, axis=0), axis=1)
+    total = chord.sum()
+    if total == 0.0:
+        raise ValueError("cannot fit a curve through coincident points")
+    t = np.concatenate([[0.0], np.cumsum(chord)]) / total
+    s = 1.0 - t
+    p0, d = side[:1], side[-1:] - side[:1]
+    # offsets from p0 + t d keep a rank-deficient side's fit the same under
+    # translation and rotation
+    basis = np.stack([3.0 * t * s**2, 3.0 * t**2 * s], axis=1)
+    offset = np.linalg.lstsq(basis, side - p0 - t[:, None] * d, rcond=None)[0]
+    interior = p0 + np.array([[1.0], [2.0]]) * d / 3.0 + offset
+    coef = _BERN @ np.concatenate([p0, interior, side[-1:]])
+    params = _arc_length_params(coef[None], _UNIT_SPAN, m)
+    if params is None:
+        return np.repeat(p0, m, axis=0)
+    pts = params[:, None] ** _POWERS @ coef
+    pts[[0, -1]] = side[[0, -1]]  # the power basis can miss an endpoint by an ulp
+    return pts
 
 
 def _poly_vertices(poly) -> np.ndarray:
@@ -328,10 +308,8 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
     curve ("bspline" default, "bezier" for the cubic Bezier alternative);
     consecutive point pairs are zipped into quads that share edges exactly.
     Both fits place the points with the polyline table of
-    ``_arc_length_params``. Under "bezier", two sides with the same vertex
-    count are fitted in one batch, each to what ``bezier_fit_side`` gives it
-    alone; otherwise they are fitted one at a time. Points a fit places
-    beyond COORD_BOUND are clamped to it.
+    ``_arc_length_params``. Points a fit places beyond COORD_BOUND are
+    clamped to it.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -339,11 +317,8 @@ def decompose(contour: TextContour, t: int, method: str = "bspline") -> Componen
         a = resample_side(contour.side_a, t + 1)
         b = resample_side(contour.side_b, t + 1)
     elif method == "bezier":
-        if len(contour.side_a) == len(contour.side_b):
-            a, b = _bezier_fit_sides(np.stack([contour.side_a, contour.side_b]), t + 1)
-        else:
-            (a,) = _bezier_fit_sides(contour.side_a[None], t + 1)
-            (b,) = _bezier_fit_sides(contour.side_b[None], t + 1)
+        a = bezier_fit_side(contour.side_a, t + 1)
+        b = bezier_fit_side(contour.side_b, t + 1)
     else:
         raise ValueError(f"unknown resampling method {method!r}")
     quads = np.stack([a[:-1], a[1:], b[1:], b[:-1]], axis=1)

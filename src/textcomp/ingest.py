@@ -201,7 +201,8 @@ def _json_objects(path: str | Path) -> Iterator[tuple[int, Any]]:
 
     Integer literals are read as floats, like every other number: one beyond
     float range becomes inf, as a float literal beyond it already does, and
-    fails the schema's finiteness check instead of overflowing later.
+    fails the constructors' range check (``geometry.COORD_BOUND`` for
+    coordinates, [0, 1] for scores) instead of overflowing later.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):

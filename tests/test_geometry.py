@@ -502,7 +502,7 @@ side_kinds = st.sampled_from(["walk", "ribbon", "collinear", "duplicate"])
 )
 @settings(max_examples=60, deadline=None)
 def test_fits_match_one_side_oracles(n_a, n_b, kind_a, kind_b, t, seed):
-    # n_b None gives both sides the same vertex count, so decompose fits them in one batch.
+    # n_b None gives both sides the same vertex count, as annotated contours usually have.
     rng = np.random.default_rng(seed)
     contour = TextContour(_side(n_a, kind_a, rng), _side(n_a if n_b is None else n_b, kind_b, rng))
     fits = []

@@ -14,10 +14,10 @@ Overlap kinds: the sequence-sampling estimate ("piou-mc"), the exact
 even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
 Instances whose bounding boxes are strictly apart on some axis overlap 0
 under every kind; the kernel is not called for them. Under "piou-mc" every
-instance is decomposed up front, so an outline that cannot be split into
-two sides raises ValueError even when nothing is compared with it. An
-overlap that comes out NaN (a kernel overflowed) raises ValueError rather
-than counting as below the threshold.
+instance is decomposed and sampled once per image, up front, so an outline
+that cannot be split into two sides raises ValueError even when nothing is
+compared with it. An overlap that comes out NaN (a kernel overflowed)
+raises ValueError rather than counting as below the threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import ComponentSequence, decompose, split_long_sides
 from .ingest import AnnotationRecord, Instance
-from .piou import PIoUConfig, biou, piou_exact, piou_mc
+from .piou import PIoUConfig, biou, piou_exact, piou_mc, sample_sequence
 
 __all__ = ["EvalReport", "evaluate"]
 
@@ -56,10 +56,13 @@ def _as_sequence(inst: Instance, t: int) -> ComponentSequence:
     return decompose(split_long_sides(inst.polygon), t)
 
 
-def _kernel_inputs(instances: list[Instance], iou_kind: str, t: int):
+def _kernel_inputs(
+    instances: list[Instance], iou_kind: str, t: int, config: PIoUConfig | None
+):
     """What the overlap kernel compares for each instance, and its (lo, hi) boxes."""
     if iou_kind == "piou-mc":
-        shapes = [_as_sequence(inst, t) for inst in instances]
+        k = (config or PIoUConfig()).k_samples
+        shapes = [sample_sequence(_as_sequence(inst, t), k) for inst in instances]
         points = [seq.quads.reshape(-1, 2) for seq in shapes]
     else:
         shapes = [inst.polygon for inst in instances]
@@ -95,6 +98,10 @@ def evaluate(
 ) -> EvalReport:
     """Score predictions against ground truth across a set of images.
 
+    Under "piou-mc" each instance is sampled once per image, at config's
+    k_samples, and its samples are reused for every pair it enters; they
+    are dropped when the image is done.
+
     Rates use the conventions: no ground truth and no predictions anywhere
     gives precision = recall = f = 1.0; a zero denominator on one side gives
     that rate 0.0 unless its numerator demand is also zero.
@@ -112,8 +119,8 @@ def evaluate(
     for image in images:
         preds = preds_by_image.get(image, [])
         gts = gts_by_image.get(image, [])
-        pred_shapes, pred_boxes = _kernel_inputs(preds, iou_kind, t)
-        gt_shapes, gt_boxes = _kernel_inputs(gts, iou_kind, t)
+        pred_shapes, pred_boxes = _kernel_inputs(preds, iou_kind, t, config)
+        gt_shapes, gt_boxes = _kernel_inputs(gts, iou_kind, t, config)
         apart = (
             (pred_boxes[:, None, 1] < gt_boxes[None, :, 0])
             | (gt_boxes[None, :, 1] < pred_boxes[:, None, 0])

@@ -68,22 +68,28 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, EPSILON))
 
 
-def _focal_terms(scores: np.ndarray, positive: np.ndarray, alpha: float, gamma: float):
-    """Per-element focal values and d(value)/d(score).
+def _focal_values(scores: np.ndarray, positive: np.ndarray, alpha: float, gamma: float):
+    """Per-element focal values -w * r**gamma * log(q), and (q, r, w).
 
     q is the probability the score gives the target class, r = 1 - q, and
-    the weight is alpha (positive) or 1 - alpha (background). r**(gamma - 1)
-    is formed only where q < 1; at q == 1 its product with log(q) tends to 0
-    for every gamma >= 0, because log(q) ~ -r.
+    the weight w is alpha (positive) or 1 - alpha (background).
     """
-    p = scores
-    one_minus_p = 1.0 - p
-    q = np.where(positive, p, one_minus_p)
-    r = np.where(positive, one_minus_p, p)
+    one_minus_p = 1.0 - scores
+    q = np.where(positive, scores, one_minus_p)
+    r = np.where(positive, one_minus_p, scores)
     w = np.where(positive, alpha, 1.0 - alpha)
+    return -w * r**gamma * _log(q), (q, r, w)
+
+
+def _focal_terms(scores: np.ndarray, positive: np.ndarray, alpha: float, gamma: float):
+    """Per-element focal values (see _focal_values) and d(value)/d(score).
+
+    r**(gamma - 1) is formed only where q < 1; at q == 1 its product with
+    log(q) tends to 0 for every gamma >= 0, because log(q) ~ -r.
+    """
+    value, (q, r, w) = _focal_values(scores, positive, alpha, gamma)
     log_q = _log(q)
     r_gamma = r**gamma
-    value = -w * r_gamma * log_q
     r_slope = np.power(r, gamma - 1.0, out=np.zeros_like(r), where=q < 1.0)
     a = w * gamma * r_slope * log_q
     b = w * r_gamma / np.maximum(q, EPSILON)

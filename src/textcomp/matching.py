@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import ComponentSequence
-from .losses import _focal_terms
+from .losses import _focal_values
 
 __all__ = [
     "MatchParams",
@@ -87,7 +87,7 @@ def _cost_matrix(
     scores = np.stack([_pred_scores(p) for p in preds])  # (n, t)
     # one pass over both targets: terms[0] positive, terms[1] background, each (n, t)
     positive = np.array([True, False])[:, None, None]
-    terms, _ = _focal_terms(scores, positive, params.focal_alpha, params.focal_gamma)
+    terms, _ = _focal_values(scores, positive, params.focal_alpha, params.focal_gamma)
     pos_cls, neg_cls = terms.sum(axis=2)  # (n,) each
     cost = np.tile((params.cls_weight * neg_cls)[:, None], (1, n))
     if gts:

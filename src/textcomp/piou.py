@@ -4,8 +4,10 @@ Instead of clipping polygons against each other, each component sequence is
 covered with a deterministic grid of interior points (mapped through the
 quads by bilinear interpolation, spread along the chain by arc length), the
 points are quantized into tolerance-sized cells, and IoU is computed on the
-two cell sets. ``piou_exact`` provides the reference value by exact
-even-odd slab integration, and ``biou`` the axis-aligned box baseline.
+two cell sets. A sequence compared many times can be sampled once with
+``sample_sequence``; ``piou_mc`` takes either form. ``piou_exact`` provides
+the reference value by exact even-odd slab integration, and ``biou`` the
+axis-aligned box baseline.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .geometry import ComponentSequence, _poly_vertices
 __all__ = [
     "PIoUConfig",
     "PIoUEstimate",
+    "SampledSequence",
     "sample_interior",
+    "sample_sequence",
     "quantize",
     "piou_mc",
     "piou_exact",
@@ -113,9 +117,27 @@ def sample_interior(seq: ComponentSequence, k: int) -> np.ndarray:
     return pts
 
 
-# Largest cell box quantize marks in a dense bitmap; larger boxes are sorted.
-# Under the default tolerance a pair's cells span at most ~201 per axis and
-# ~20 000 in all, so only an explicit fine tolerance reaches the sorted path.
+@dataclass(frozen=True)
+class SampledSequence:
+    """A component sequence with its interior samples, made once for reuse.
+
+    points are the sequence's sample_interior points; piou_mc accepts it in
+    place of the sequence when its configuration asks for that many samples.
+    """
+
+    quads: np.ndarray
+    points: np.ndarray
+
+
+def sample_sequence(seq: ComponentSequence, k: int) -> SampledSequence:
+    """The sequence's quads with its k interior samples (see sample_interior)."""
+    return SampledSequence(seq.quads, sample_interior(seq, k))
+
+
+# Largest cell box quantize (and piou_mc, for a pair's shared cells) marks in
+# a dense bitmap; larger boxes are sorted. Under the default tolerance a
+# pair's cells span at most ~201 per axis and ~20 000 in all, so only an
+# explicit fine tolerance reaches the sorted path.
 _GRID_CELLS = 1 << 22
 _INT64_BOUND = 2.0**63
 
@@ -159,37 +181,62 @@ def quantize(points, tolerance: float) -> np.ndarray:
     return np.stack([i + i0, j + j0], axis=1)
 
 
-def _joint_diagonal(gt: ComponentSequence, pred: ComponentSequence) -> float:
-    pts = np.concatenate([gt.quads.reshape(-1, 2), pred.quads.reshape(-1, 2)])
-    span = pts.max(axis=0) - pts.min(axis=0)
-    return float(math.hypot(span[0], span[1]))
+def _samples(seq: ComponentSequence | SampledSequence, k: int) -> np.ndarray:
+    if not isinstance(seq, SampledSequence):
+        return sample_interior(seq, k)
+    if len(seq.points) != k:
+        raise ValueError(f"sequence carries {len(seq.points)} samples, config asks for {k}")
+    return seq.points
+
+
+def _shared_cells(a: np.ndarray, b: np.ndarray) -> int | None:
+    """Cells in both sorted distinct cell arrays, or None past _GRID_CELLS."""
+    i0, j0 = min(a[0, 0], b[0, 0]), min(a[:, 1].min(), b[:, 1].min())
+    ni = int(max(a[-1, 0], b[-1, 0])) - int(i0) + 1  # rows are sorted by i
+    nj = int(max(a[:, 1].max(), b[:, 1].max())) - int(j0) + 1
+    if ni * nj > _GRID_CELLS:
+        return None
+    hit = np.zeros(ni * nj, dtype=bool)
+    hit[(a[:, 0] - i0) * nj + (a[:, 1] - j0)] = True
+    return int(np.count_nonzero(hit[(b[:, 0] - i0) * nj + (b[:, 1] - j0)]))
 
 
 def piou_mc(
-    gt: ComponentSequence, pred: ComponentSequence, config: PIoUConfig | None = None
+    gt: ComponentSequence | SampledSequence,
+    pred: ComponentSequence | SampledSequence,
+    config: PIoUConfig | None = None,
 ) -> PIoUEstimate:
     """Sampled polygon IoU between two component sequences.
 
-    Both sequences are sampled with the same configuration; the estimate is
-    the IoU of their quantized cell sets. The union is counted as the cells
-    of the joined samples, and the intersection as the two sets' sizes
-    minus the union. Identical sequences yield exactly 1.0. When the joint
-    extent is degenerate (all points coincide) the cell sets are equal and
-    the value is 1.0 by the same rule. Each quad counts the image of its
-    bilinear map (see sample_interior): a folded bow-tie quad covers less
-    than its even-odd region, so against its own square it scores about
-    0.26 where piou_exact gives 0.5.
+    Both sequences are sampled with the same configuration, or passed
+    already sampled (sample_sequence) with its k_samples points, else
+    ValueError; the estimate is the IoU of their quantized cell sets. Each
+    side is quantized once; the intersection is counted on one bitmap over
+    the joint cell box, and the union is the two sets' sizes minus it. When
+    that box holds more than _GRID_CELLS cells (only a fine explicit
+    tolerance gets there), the union is counted as the cells of the joined
+    samples instead. Identical sequences yield exactly 1.0. When the joint
+    extent of the quads is degenerate (all points coincide) the cell sets
+    are equal and the value is 1.0 by the same rule. Each quad counts the
+    image of its bilinear map (see sample_interior): a folded bow-tie quad
+    covers less than its even-odd region, so against its own square it
+    scores about 0.26 where piou_exact gives 0.5.
     """
     cfg = config or PIoUConfig()
     tol = cfg.tolerance
     if tol is None:
-        diag = _joint_diagonal(gt, pred)
+        pts = np.concatenate([gt.quads.reshape(-1, 2), pred.quads.reshape(-1, 2)])
+        diag = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
         tol = TOLERANCE_DIAGONAL_FRACTION * diag if diag > 0.0 else 1.0
     resolved = replace(cfg, tolerance=tol)
-    pts_gt = sample_interior(gt, cfg.k_samples)
-    pts_pred = sample_interior(pred, cfg.k_samples)
-    union = len(quantize(np.concatenate([pts_gt, pts_pred]), tol))
-    inter = len(quantize(pts_gt, tol)) + len(quantize(pts_pred, tol)) - union
+    pts_gt, pts_pred = _samples(gt, cfg.k_samples), _samples(pred, cfg.k_samples)
+    cells_gt, cells_pred = quantize(pts_gt, tol), quantize(pts_pred, tol)
+    inter = _shared_cells(cells_gt, cells_pred)
+    if inter is None:
+        union = len(quantize(np.concatenate([pts_gt, pts_pred]), tol))
+        inter = len(cells_gt) + len(cells_pred) - union
+    else:
+        union = len(cells_gt) + len(cells_pred) - inter
     value = inter / union if union > 0 else 1.0
     return PIoUEstimate(value, inter, union, resolved)
 

@@ -25,6 +25,7 @@ from textcomp.evaluate import _as_sequence, _score_order
 
 # The package re-exports the function evaluate under the submodule's name.
 evaluate_module = importlib.import_module("textcomp.evaluate")
+piou_module = importlib.import_module("textcomp.piou")
 
 
 def rect(x0, y0, width=60.0, height=10.0):
@@ -340,6 +341,26 @@ def test_row_form_matches_per_pair_loop_oracle(iou_kind, seeds):
             assert report.per_image == expected, (seed, threshold)
             totals += [report.true_positives, report.false_positives, report.false_negatives]
     assert (totals > 0).all()  # the scenes exercise every decision
+
+
+@pytest.mark.parametrize("config", [None, PIoUConfig(k_samples=2000, tolerance=4.0)])
+def test_piou_mc_samples_each_instance_once_per_image(monkeypatch, config):
+    sampled = []
+    original = piou_module.sample_interior
+
+    def counting(seq, k):
+        sampled.append(k)
+        return original(seq, k)
+
+    pred_records, gt_records = _oracle_scenes(5)  # 2 of 6 truths ignored, 2 missed
+    assert any(g.ignore for g in gt_records[0].instances)
+    monkeypatch.setattr(piou_module, "sample_interior", counting)
+    report = evaluate(pred_records, gt_records, 0.5, "piou-mc", config)
+    monkeypatch.undo()
+    instances = sum(len(r.instances) for r in [*pred_records, *gt_records])
+    assert sampled == [(config or PIoUConfig()).k_samples] * instances
+    assert report.per_image["scene"]["fn"] > 0
+    assert report.per_image == _oracle_per_image(pred_records, gt_records, 0.5, "piou-mc", config)
 
 
 def test_strictly_apart_zero_area_outlines_do_not_match():

@@ -12,11 +12,13 @@ threshold is with an ignored instance.
 
 Overlap kinds: the sequence-sampling estimate ("piou-mc"), the exact
 even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
-Instances whose bounding boxes are strictly apart on some axis overlap 0
-under every kind; the kernel is not called for them. Under "piou-mc" every
-instance is decomposed and sampled once per image, up front, so an outline
-that cannot be split into two sides raises ValueError even when nothing is
-compared with it. An overlap that comes out NaN (a kernel overflowed)
+Instances whose bounding boxes are strictly apart on some axis score 0,
+which is their exact IoU, and the kernel is not called for them. Called on
+such a pair, piou_mc alone may read above 0: across a gap narrower than one
+cell, both shapes' samples can land in the same boundary cell. Under
+"piou-mc" every instance is decomposed and sampled once per image, up
+front, so an outline that cannot be split into two sides raises ValueError
+even when nothing is compared with it. An overlap that comes out NaN (a kernel overflowed)
 raises ValueError rather than counting as below the threshold.
 """
 

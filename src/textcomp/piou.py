@@ -5,9 +5,12 @@ covered with a deterministic grid of interior points (mapped through the
 quads by bilinear interpolation, spread along the chain by arc length), the
 points are quantized into tolerance-sized cells, and IoU is computed on the
 two cell sets. A sequence compared many times can be sampled once with
-``sample_sequence``; ``piou_mc`` takes either form. ``piou_exact`` provides
-the reference value by exact even-odd slab integration, and ``biou`` the
-axis-aligned box baseline.
+``sample_sequence``; ``piou_mc`` takes either form. Samples and cells are
+(n, 2) arrays stored column-major: each coordinate column is contiguous,
+so the per-pair passes (scaling, flooring, column bounds, bitmap indices)
+run over contiguous memory. Any layout is accepted and gives the same
+values. ``piou_exact`` provides the reference value by exact even-odd slab
+integration, and ``biou`` the axis-aligned box baseline.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def sample_interior(seq: ComponentSequence, k: int) -> np.ndarray:
     image space). A folded (self-intersecting) quad is therefore sampled
     over the image of its bilinear map, not over its even-odd region.
     When the grid has more than k points, k of them are kept at evenly
-    spaced row-major indices.
+    spaced row-major indices. The array is column-major (see the module
+    docstring).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -105,16 +109,16 @@ def sample_interior(seq: ComponentSequence, k: int) -> np.ndarray:
     f = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(q) - 1)
     span = cum[f + 1] - cum[f]
     s = np.where(span > 0.0, (u - cum[f]) / np.where(span == 0.0, 1.0, span), 0.0)
-    s1 = np.clip(s, 0.0, 1.0)[:, None]
-    qs = q[f]
-    top_pt = (1.0 - s1) * qs[:, 0] + s1 * qs[:, 1]
-    bot_pt = (1.0 - s1) * qs[:, 3] + s1 * qs[:, 2]
-    # then each row v across it, grid points in row-major order
-    v1 = v[:, None, None]
-    pts = ((1.0 - v1) * top_pt + v1 * bot_pt).reshape(total, 2)
+    s1 = np.clip(s, 0.0, 1.0)
+    qs = np.ascontiguousarray(q[f].transpose(1, 2, 0))  # (corner, coordinate, column)
+    top_pt = (1.0 - s1) * qs[0] + s1 * qs[1]
+    bot_pt = (1.0 - s1) * qs[3] + s1 * qs[2]
+    # then each row v across it: x and y grids, grid points in row-major order
+    v1 = v[:, None]
+    pts = ((1.0 - v1) * top_pt[:, None] + v1 * bot_pt[:, None]).reshape(2, total)
     if total > k:
-        pts = pts[np.floor(np.arange(k) * (total / k)).astype(int)]
-    return pts
+        pts = pts.take(np.floor(np.arange(k) * (total / k)).astype(int), axis=1)
+    return pts.T
 
 
 @dataclass(frozen=True)
@@ -142,43 +146,62 @@ _GRID_CELLS = 1 << 22
 _INT64_BOUND = 2.0**63
 
 
+def _flat_index(ci, cj, i0, j0, nj):
+    """Row-major index of cells (ci, cj) in a bitmap nj cells wide whose first
+    cell is (i0, j0). The origin is subtracted before scaling or adding, so
+    every intermediate stays below the box's cell count (at most _GRID_CELLS)
+    and is exact in float64 and int64 alike, wherever the box lies."""
+    index = ci - i0
+    index *= nj
+    index += cj - j0
+    return index
+
+
 def quantize(points, tolerance: float) -> np.ndarray:
     """Distinct tolerance-sized grid cells hit by points.
 
     Cell (i, j) holds the points with floor(x / tolerance) = i and
     floor(y / tolerance) = j. Returns an (n, 2) int64 array of distinct
-    cells sorted by (i, j). When the cells' bounding box holds at most
-    _GRID_CELLS cells they are marked in a dense boolean grid read back in
-    (i, j) order; otherwise they are sorted and deduplicated. Both paths
-    return the same array. Raises ValueError when some |point / tolerance|
-    is not below 2**63 (including inf and NaN), since its cell index would
-    not fit in int64.
+    cells sorted by (i, j), stored column-major (its i and j columns are
+    each contiguous); points may come in any memory layout. When the cells'
+    bounding box holds at most _GRID_CELLS cells they are marked in a dense
+    boolean grid read back in (i, j) order; otherwise they are sorted and
+    deduplicated. Both paths return the same array. Raises ValueError when
+    some |point / tolerance| is not below 2**63 (including inf and NaN),
+    since its cell index would not fit in int64.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    cells = np.floor(pts / tolerance)
-    if len(cells) == 0:
-        return cells.astype(np.int64)
-    lo_i, hi_i = cells[:, 0].min(), cells[:, 0].max()
-    lo_j, hi_j = cells[:, 1].min(), cells[:, 1].max()
+    if len(pts) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    cells = np.divide(pts.T, tolerance, order="C")  # the x and y rows, each contiguous
+    np.floor(cells, out=cells)
+    ci, cj = cells
+    lo_i, hi_i, lo_j, hi_j = ci.min(), ci.max(), cj.min(), cj.max()
     # floor keeps |x| < 2**63 exactly when x had it; NaN fails every comparison
     b = _INT64_BOUND
     if not (-b < lo_i <= hi_i < b and -b < lo_j <= hi_j < b):
         raise ValueError(
             f"|points / tolerance| must be below 2**63 for int64 cells (tolerance {tolerance})"
         )
-    cells = cells.astype(np.int64)
     i0, j0 = int(lo_i), int(lo_j)
     ni, nj = int(hi_i) - i0 + 1, int(hi_j) - j0 + 1
     if ni * nj > _GRID_CELLS:
-        return np.unique(cells, axis=0)
+        return np.asfortranarray(np.unique(cells.T.astype(np.int64), axis=0))
     hit = np.zeros(ni * nj, dtype=bool)
-    hit[(cells[:, 0] - i0) * nj + (cells[:, 1] - j0)] = True
-    i, j = np.divmod(np.flatnonzero(hit), nj)
-    return np.stack([i + i0, j + j0], axis=1)
+    hit[_flat_index(ci, cj, lo_i, lo_j, nj).astype(np.intp)] = True
+    flat = np.flatnonzero(hit)
+    out = np.empty((2, len(flat)), dtype=np.int64)
+    i, j = out
+    np.floor_divide(flat, nj, out=i)  # far faster than np.divmod by a scalar
+    np.multiply(i, nj, out=j)
+    np.subtract(flat, j, out=j)
+    i += i0
+    j += j0
+    return out.T
 
 
 def _samples(seq: ComponentSequence | SampledSequence, k: int) -> np.ndarray:
@@ -191,14 +214,15 @@ def _samples(seq: ComponentSequence | SampledSequence, k: int) -> np.ndarray:
 
 def _shared_cells(a: np.ndarray, b: np.ndarray) -> int | None:
     """Cells in both sorted distinct cell arrays, or None past _GRID_CELLS."""
-    i0, j0 = min(a[0, 0], b[0, 0]), min(a[:, 1].min(), b[:, 1].min())
-    ni = int(max(a[-1, 0], b[-1, 0])) - int(i0) + 1  # rows are sorted by i
-    nj = int(max(a[:, 1].max(), b[:, 1].max())) - int(j0) + 1
+    (ai, aj), (bi, bj) = a.T, b.T  # contiguous columns of quantize's output
+    i0, j0 = min(ai[0], bi[0]), min(aj.min(), bj.min())
+    ni = int(max(ai[-1], bi[-1])) - int(i0) + 1  # rows are sorted by i
+    nj = int(max(aj.max(), bj.max())) - int(j0) + 1
     if ni * nj > _GRID_CELLS:
         return None
     hit = np.zeros(ni * nj, dtype=bool)
-    hit[(a[:, 0] - i0) * nj + (a[:, 1] - j0)] = True
-    return int(np.count_nonzero(hit[(b[:, 0] - i0) * nj + (b[:, 1] - j0)]))
+    hit[_flat_index(ai, aj, i0, j0, nj)] = True
+    return int(np.count_nonzero(hit[_flat_index(bi, bj, i0, j0, nj)]))
 
 
 def piou_mc(

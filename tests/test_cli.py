@@ -1,5 +1,7 @@
 """Command-line surface: subcommand behavior, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textcomp import (
     AnnotationRecord,
@@ -16,6 +20,7 @@ from textcomp import (
     write_jsonl,
 )
 from textcomp.cli import CURVATURE_LEVELS, run
+from textcomp.evaluate import _IOU_KINDS
 from textcomp.losses import LossValue
 
 
@@ -518,3 +523,122 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "usage" in result.stdout.lower()
+
+
+# ------------------------------------------------- exit-code contract, fuzzed
+
+# Coordinates: small integers (repeated and collinear points), ordinary
+# floats, and hostile values at and past the coordinate bound.
+_plain_coord = st.one_of(st.integers(0, 3), st.floats(min_value=-100.0, max_value=100.0))
+_hostile_coord = st.one_of(
+    _plain_coord,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([-0.0, 1e-300, 1e-200, 2.0**63, 1e150, -1e150, 1e151, 1e300]),
+)
+
+
+def _instances(coord, min_points, quad_sizes, min_quads, score):
+    point = st.lists(coord, min_size=2, max_size=2)
+    quad = st.lists(point, min_size=quad_sizes[0], max_size=quad_sizes[1])
+    return st.fixed_dictionaries(
+        {"polygon": st.lists(point, min_size=min_points, max_size=12)},
+        optional={
+            "score": score,
+            "ignore": st.booleans(),
+            "components": st.lists(quad, min_size=min_quads, max_size=7),
+        },
+    )
+
+
+# Three instances in four are well-formed, so that many runs get past validation.
+_plain_instance = _instances(_plain_coord, 4, (4, 4), 1, st.floats(min_value=0.0, max_value=1.0))
+_hostile_instance = _instances(
+    _hostile_coord,
+    0,
+    (3, 5),
+    0,
+    st.one_of(st.floats(min_value=-1.0, max_value=2.0), st.booleans(), st.text(max_size=3)),
+)
+_fuzz_instance = st.one_of(_plain_instance, _plain_instance, _plain_instance, _hostile_instance)
+# Lines that no structured draw produces: broken JSON, non-standard
+# constants, numbers past float range, and arbitrary text.
+_broken_json_line = st.one_of(
+    st.sampled_from(
+        [
+            "{",
+            "[]",
+            "null",
+            "NaN",
+            '{"image": "x", "instances": [{"polygon": [[1e400, 0], [0, 0], [0, 1], [1, 1]]}]}',
+            '{"image": "x", "instances": [{"polygon": [[NaN, 0], [0, 0], [0, 1], [1, 1]]}]}',
+            '{"a": {"polygon": [[0, 0], [1, 0], [1, Infinity], [0, 1]]}, "b": {}}',
+        ]
+    ),
+    st.text(max_size=20),
+)
+_ctw_value = st.one_of(st.integers(0, 3), st.integers(-(10**4), 10**4))
+_ctw_values = st.sampled_from([28, 32]).flatmap(
+    lambda n: st.lists(_ctw_value, min_size=n, max_size=n)
+)
+# input kind -> (lines of the expected form, lines that break it)
+_FUZZ_LINES = {
+    "records": (
+        st.fixed_dictionaries(
+            {"image": st.sampled_from("ab"), "instances": st.lists(_fuzz_instance, max_size=3)}
+        ).map(json.dumps),
+        _broken_json_line,
+    ),
+    "pairs": (
+        st.fixed_dictionaries({"a": _fuzz_instance, "b": _fuzz_instance}).map(json.dumps),
+        _broken_json_line,
+    ),
+    "ctw": (
+        _ctw_values.map(lambda values: ",".join(map(str, values))),
+        st.sampled_from(["1,2,3", ",".join(["9" * 400] * 28), ",".join(["x"] * 28)]),
+    ),
+}
+
+# (input kind, argv with {path} for the input file); eval reads it as both sides
+_FUZZ_COMMANDS = [
+    ("records", ["decompose", "--in", "{path}"]),
+    ("ctw", ["decompose", "--in", "{path}", "--format-hint", "ctw1500-14pt"]),
+    ("records", ["decompose", "--in", "{path}", "--method", "bezier"]),
+    *(
+        ("records", ["eval", "--preds", "{path}", "--gts", "{path}", "--k", "500", "--iou-kind", k])
+        for k in _IOU_KINDS
+    ),
+    ("pairs", ["piou", "--pairs", "{path}", "--k", "500"]),
+    ("pairs", ["piou", "--pairs", "{path}", "--exact"]),
+]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@given(data=st.data(), command=st.sampled_from(_FUZZ_COMMANDS))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_inputs_never_exit_2_and_print_strict_json(tmp_path_factory, data, command):
+    kind, argv = command
+    good, broken = _FUZZ_LINES[kind]
+    lines = data.draw(st.lists(good, min_size=1, max_size=3), label="lines")
+    if data.draw(st.booleans(), label="break a line"):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(broken, label="broken line"))
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = run([arg.format(path=path) for arg in argv])
+    assert code in (0, 1), stderr.getvalue()
+    if code == 0:
+        text = stdout.getvalue()
+        if argv[0] == "decompose":
+            for line in text.splitlines():
+                _strict_json(line)
+        else:
+            _strict_json(text)

@@ -385,6 +385,24 @@ def test_strictly_apart_slivers_do_not_match_under_piou_mc():
     assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
 
 
+def test_strictly_apart_pair_scores_0_where_piou_mc_shares_a_cell():
+    # The 0.002 px gap is narrower than the default 0.505 px cell, so both
+    # shapes' samples land in one boundary cell and piou_mc reads 1/202.
+    # The boxes are apart, so evaluate scores the pair 0, its exact IoU.
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    strip = np.array([[1.002, 0.0], [101.002, 0.0], [101.002, 0.01], [1.002, 0.01]])
+    gt = Instance(polygon=Polygon(square), components=square[None])
+    pred = Instance(polygon=Polygon(strip), components=strip[None], score=1.0)
+    est = piou_mc(_as_sequence(pred, 6), _as_sequence(gt, 6))
+    assert (est.intersection_cells, est.union_cells) == (1, 202)
+    assert est.value > 0.004
+    assert piou_exact(pred.polygon, gt.polygon) == 0.0
+    report = evaluate(
+        [record("img", pred)], [record("img", gt)], iou_threshold=0.004, iou_kind="piou-mc"
+    )
+    assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
+
+
 def test_strictly_apart_pairs_never_reach_the_kernel(monkeypatch):
     calls = []
 

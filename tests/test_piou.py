@@ -27,7 +27,7 @@ from textcomp import (
 )
 from textcomp import piou as piou_module
 from textcomp.geometry import COORD_BOUND
-from textcomp.piou import _GRID_CELLS, sample_sequence
+from textcomp.piou import _GRID_CELLS, SampledSequence, sample_sequence
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -87,6 +87,7 @@ def test_sample_count_and_shape():
     for k in (1, 7, 100, 1003):
         pts = sample_interior(ComponentSequence(UNIT_QUAD), k)
         assert pts.shape == (k, 2)
+        assert pts.flags.f_contiguous  # each coordinate column is contiguous
 
 
 def test_sample_degenerate_quad_collapses():
@@ -233,10 +234,31 @@ _coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 def test_quantize_matches_lexsort_oracle(points, log_tol):
     tol = 10.0**log_tol
-    got = quantize(points, tol)
-    assert got.dtype == np.int64
-    assert got.shape == (len(_cell_set(got)), 2)
-    assert np.array_equal(got, _lexsort_quantize(points, tol))
+    expected = _lexsort_quantize(points, tol)
+    c_order = np.array(points)
+    strided = np.repeat(c_order, 2, axis=0)[::2]
+    # any memory layout of the points gives the same column-major cells
+    for pts in (points, c_order, np.asfortranarray(c_order), strided):
+        got = quantize(pts, tol)
+        assert got.dtype == np.int64 and got.flags.f_contiguous
+        assert got.shape == (len(_cell_set(got)), 2)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_quantize_is_exact_near_2_to_the_62(monkeypatch, sign):
+    # Float cells this far out are 1024 apart, so the box spans 2049 x 1025
+    # cells and still takes the bitmap. A flat index formed as i * nj + j
+    # before the box origin is subtracted would round in float64 and
+    # overflow in int64.
+    steps = np.random.default_rng(62).integers(0, [3, 2], (40, 2))
+    steps[:2] = [[0, 0], [2, 1]]  # both corners of the box
+    points = np.array([sign, -sign]) * 2.0**62 + 1024.0 * steps
+    sorts = []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(a))
+    got = quantize(points, 1.0)
+    assert sorts == []
+    assert np.array_equal(got, _lexsort_quantize(points, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -417,8 +439,12 @@ def test_mc_presampled_matches_cell_set_oracle(monkeypatch, config, quantize_cal
     seen = set()
     for gt, pred in _mc_pairs():
         gt_s, pred_s = sample_sequence(gt, k), sample_sequence(pred, k)
+        # the same samples stored row-major, as a caller may build them
+        gt_c, pred_c = (
+            SampledSequence(s.quads, np.ascontiguousarray(s.points)) for s in (gt_s, pred_s)
+        )
         forward, backward = _set_piou(gt, pred, config), _set_piou(pred, gt, config)
-        for a, b in ((gt_s, pred_s), (gt_s, pred), (gt, pred_s)):
+        for a, b in ((gt_s, pred_s), (gt_s, pred), (gt, pred_s), (gt_c, pred_c), (gt_c, pred_s)):
             for x, y, want in ((a, b, forward), (b, a, backward)):
                 calls.clear()
                 est = piou_mc(x, y, config)

@@ -136,7 +136,7 @@ def _cmd_piou(args) -> int:
             raise ParseError("each pair line needs objects 'a' and 'b'", lineno)
         rows.append([_instance_from_dict(obj[key], key, lineno) for key in ("a", "b")])
 
-    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
+    config = PIoUConfig(k_samples=args.k)
     results = []
     for index, (a, b) in enumerate(rows):
         if args.exact:
@@ -151,7 +151,6 @@ def _cmd_piou(args) -> int:
                     "kind": "mc",
                     "intersection_cells": est.intersection_cells,
                     "union_cells": est.union_cells,
-                    "tolerance": est.config.tolerance,
                 }
             )
     payload = {
@@ -214,7 +213,7 @@ def _cmd_match(args) -> int:
 def _cmd_eval(args) -> int:
     preds = read_jsonl(args.preds)
     gts = read_jsonl(args.gts)
-    config = PIoUConfig(k_samples=args.k, tolerance=args.tolerance)
+    config = PIoUConfig(k_samples=args.k)
     report = evaluate(
         preds,
         gts,
@@ -433,8 +432,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("piou", help="overlap estimates for instance pairs")
     p.add_argument("--pairs", required=True, help='JSONL of {"a": instance, "b": instance}')
     p.add_argument("--out", default=None)
-    p.add_argument("--k", type=int, default=10_000, help="sample budget (default 10000)")
-    p.add_argument("--tolerance", type=float, default=None, help="cell size override")
+    p.add_argument("--k", type=int, default=10_000, help="grid centres per pair (default 10000)")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--exact", action="store_true", help="use the exact even-odd polygon IoU")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -460,7 +458,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--iou-kind", choices=_IOU_KINDS, default="piou-exact")
     p.add_argument("--k", type=int, default=10_000)
-    p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_eval)

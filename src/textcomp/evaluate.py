@@ -10,16 +10,19 @@ its overlap with some ignored instance is at or above the threshold;
 otherwise it is a false positive, even if its best overlap below the
 threshold is with an ignored instance.
 
-Overlap kinds: the sequence-sampling estimate ("piou-mc"), the exact
+Overlap kinds: the Polygon Monte-Carlo estimate ("piou-mc"), the exact
 even-odd polygon IoU ("piou-exact"), or bounding-rectangle IoU ("biou").
+Both polygon kinds use the even-odd rule: a bow-tie against its own square
+scores 0.5 under piou-exact and about 0.5 under piou-mc (biou gives 1.0).
 Instances whose bounding boxes are strictly apart on some axis score 0,
-which is their exact IoU, and the kernel is not called for them. Called on
-such a pair, piou_mc alone may read above 0: across a gap narrower than one
-cell, both shapes' samples can land in the same boundary cell. Under
-"piou-mc" every instance is decomposed and sampled once per image, up
-front, so an outline that cannot be split into two sides raises ValueError
-even when nothing is compared with it. An overlap that comes out NaN (a kernel overflowed)
-raises ValueError rather than counting as below the threshold.
+which is their exact IoU and also what piou_mc gives them, and the kernel
+is not called for them. PMC is defined on component chains, so under
+"piou-mc" every instance is taken as its component sequence (its own, else
+its polygon decomposed into t quads) and assembled back into an outline
+once per image, up front; an outline that cannot be split into two sides
+therefore raises ValueError even when nothing is compared with it. An
+overlap that comes out NaN (a kernel overflowed) raises ValueError rather
+than counting as below the threshold.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ComponentSequence, decompose, split_long_sides
+from .geometry import ComponentSequence, assemble, decompose, split_long_sides
 from .ingest import AnnotationRecord, Instance
-from .piou import PIoUConfig, biou, piou_exact, piou_mc, sample_sequence
+from .piou import PIoUConfig, biou, piou_exact, piou_mc
 
 __all__ = ["EvalReport", "evaluate"]
 
@@ -58,19 +61,14 @@ def _as_sequence(inst: Instance, t: int) -> ComponentSequence:
     return decompose(split_long_sides(inst.polygon), t)
 
 
-def _kernel_inputs(
-    instances: list[Instance], iou_kind: str, t: int, config: PIoUConfig | None
-):
-    """What the overlap kernel compares for each instance, and its (lo, hi) boxes."""
+def _kernel_inputs(instances: list[Instance], iou_kind: str, t: int):
+    """The polygon the overlap kernel compares for each instance, and its (lo, hi) boxes."""
     if iou_kind == "piou-mc":
-        k = (config or PIoUConfig()).k_samples
-        shapes = [sample_sequence(_as_sequence(inst, t), k) for inst in instances]
-        points = [seq.quads.reshape(-1, 2) for seq in shapes]
+        shapes = [assemble(_as_sequence(inst, t)) for inst in instances]
     else:
         shapes = [inst.polygon for inst in instances]
-        points = [poly.vertices for poly in shapes]
-    boxes = np.array([(pts.min(axis=0), pts.max(axis=0)) for pts in points]).reshape(-1, 2, 2)
-    return shapes, boxes
+    boxes = np.array([(p.vertices.min(axis=0), p.vertices.max(axis=0)) for p in shapes])
+    return shapes, boxes.reshape(-1, 2, 2)
 
 
 def _overlap(iou_kind: str, pred, gt, config: PIoUConfig | None) -> float:
@@ -100,9 +98,9 @@ def evaluate(
 ) -> EvalReport:
     """Score predictions against ground truth across a set of images.
 
-    Under "piou-mc" each instance is sampled once per image, at config's
-    k_samples, and its samples are reused for every pair it enters; they
-    are dropped when the image is done.
+    Under "piou-mc" each instance is assembled once per image and its
+    outline is reused for every pair it enters, with about config's
+    k_samples grid centres per pair.
 
     Rates use the conventions: no ground truth and no predictions anywhere
     gives precision = recall = f = 1.0; a zero denominator on one side gives
@@ -121,8 +119,8 @@ def evaluate(
     for image in images:
         preds = preds_by_image.get(image, [])
         gts = gts_by_image.get(image, [])
-        pred_shapes, pred_boxes = _kernel_inputs(preds, iou_kind, t, config)
-        gt_shapes, gt_boxes = _kernel_inputs(gts, iou_kind, t, config)
+        pred_shapes, pred_boxes = _kernel_inputs(preds, iou_kind, t)
+        gt_shapes, gt_boxes = _kernel_inputs(gts, iou_kind, t)
         apart = (
             (pred_boxes[:, None, 1] < gt_boxes[None, :, 0])
             | (gt_boxes[None, :, 1] < pred_boxes[:, None, 0])

@@ -51,11 +51,17 @@ _BERN = np.array(
     [[1.0, 0.0, 0.0, 0.0], [-3.0, 3.0, 0.0, 0.0], [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]
 )
 
+# Interior chord parameters within this of 0 or 1 are snapped onto the
+# endpoint by the Bezier fit. When every interior vertex sits near parameter
+# t, the fit moves by about e / t**2 for an input error e (relative to the
+# chord), so snapping below 1e-6 bounds that response near 1e12 e.
+_ENDPOINT_SNAP = 1e-6
+
 # Largest coordinate magnitude the package accepts. Two accepted coordinates
 # differ by at most 2e150, so a squared difference or a product of two
 # differences is at most 4e300: the squared steps of the arc-length table,
-# the side lengths in sample_interior, and piou_exact's crossing test and
-# covered length times slab height all stay finite. That leaves a factor of
+# piou_exact's crossing test, and its covered length times slab height all
+# stay finite. That leaves a factor of
 # about 4e7 below float64's 1.8e308 for the sums of such terms and for Bezier
 # control points that lie outside the vertices' box.
 COORD_BOUND = 1e150
@@ -217,10 +223,12 @@ def bezier_fit_side(side, m: int) -> np.ndarray:
     are the minimum-norm least-squares solution at those fixed parameters,
     solved as offsets from the straight chord. There is no parameter
     reprojection, so the fit is a closed form of its input; a 2-vertex side
-    gives the straight segment. Output points are equally spaced in arc
-    length along the fitted curve (the polyline table of
-    ``_arc_length_params`` on the single span [0, 1]), and the first and
-    last coincide exactly with the side's endpoints.
+    gives the straight segment. An interior vertex whose parameter lies
+    within _ENDPOINT_SNAP of 0 or 1 is fitted as a copy of that endpoint.
+    Output points are equally spaced in arc length along the fitted curve
+    (the polyline table of ``_arc_length_params`` on the single span
+    [0, 1]), and the first and last coincide exactly with the side's
+    endpoints.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
@@ -230,6 +238,11 @@ def bezier_fit_side(side, m: int) -> np.ndarray:
     if total == 0.0:
         raise ValueError("cannot fit a curve through coincident points")
     t = np.concatenate([[0.0], np.cumsum(chord)]) / total
+    # An interior vertex this close to an endpoint fixes no control point
+    # beyond rounding; snapped onto it, its row vanishes as an exact copy's does.
+    inner = t[1:-1]
+    inner[inner < _ENDPOINT_SNAP] = 0.0
+    inner[inner > 1.0 - _ENDPOINT_SNAP] = 1.0
     s = 1.0 - t
     p0, d = side[:1], side[-1:] - side[:1]
     # offsets from p0 + t d keep a rank-deficient side's fit the same under

@@ -204,38 +204,59 @@ def test_piou_invalid_json_names_its_line(tmp_path, capsys):
     assert "line 2: invalid JSON" in capsys.readouterr().err
 
 
-def test_piou_non_finite_value_fails_without_printing_json(tmp_path, capsys):
-    # An edge 1e150 wide and 1e-200 tall has a slope past float64, and the
-    # exact kernel returns NaN. Strict JSON has no NaN, so the run reports
-    # an input error and writes nothing to stdout.
-    polygon = [[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]]
+def test_piou_non_finite_value_fails_without_printing_json(tmp_path, capsys, monkeypatch):
+    # Strict JSON has no NaN, so a kernel value that is not finite is an
+    # input error and nothing is written to stdout.
+    monkeypatch.setattr("textcomp.cli.piou_exact", lambda a, b: float("nan"))
+    polygon = [[0.0, 0.0], [60.0, 0.0], [60.0, 10.0], [0.0, 10.0]]
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(
         json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n",
         encoding="utf-8",
     )
-    with np.errstate(all="ignore"):
-        code = run(["piou", "--pairs", str(pairs), "--exact"])
+    code = run(["piou", "--pairs", str(pairs), "--exact"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "JSON" in captured.err
 
 
-def test_piou_tolerance_past_int64_cells_is_input_error(tmp_path, capsys):
-    # Cell index 1e6 / 1e-14 = 1e20 does not fit in int64; a wrapping cast
-    # would put every point in one cell and report 1/1.
-    polygon = [[1e6, 1e6], [1e6 + 10.0, 1e6], [1e6 + 10.0, 1e6 + 5.0], [1e6, 1e6 + 5.0]]
+def test_piou_nearly_flat_edge_scores_one(tmp_path, capsys):
+    # An edge 1e150 wide and 1e-200 tall has a slope past float64; both
+    # kernels place its crossings as x0 + f (x1 - x0) and stay finite. The
+    # quad is its own one-component chain, so the mc run decomposes nothing.
+    polygon = [[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]]
+    instance = {"polygon": polygon, "components": [polygon]}
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"a": instance, "b": instance}) + "\n", encoding="utf-8")
+    for extra in ([], ["--exact"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_json(capsys, ["piou", "--pairs", str(pairs), *extra])
+        assert code == 0
+        assert payload["pairs"][0]["value"] == 1.0
+
+
+def test_piou_reports_covered_centres_and_has_no_tolerance(tmp_path, capsys):
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    bow_tie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(
-        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n",
+        json.dumps({"a": {"polygon": bow_tie, "components": [bow_tie]}, "b": {"polygon": square}})
+        + "\n",
         encoding="utf-8",
     )
-    code = run(["piou", "--pairs", str(pairs), "--tolerance", "1e-14", "--k", "100"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "int64" in captured.err
+    code, payload = run_json(capsys, ["piou", "--pairs", str(pairs)])
+    assert code == 0
+    (row,) = payload["pairs"]
+    assert set(row) == {"index", "value", "kind", "intersection_cells", "union_cells"}
+    assert row["value"] == row["intersection_cells"] / row["union_cells"]
+    assert abs(row["value"] - 0.5) <= 0.01
+    records = tmp_path / "records.jsonl"
+    write_jsonl([rect_record()], records)
+    for argv in (["piou", "--pairs", pairs], ["eval", "--preds", records, "--gts", records]):
+        assert run([*map(str, argv), "--tolerance", "1"]) == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- match
@@ -336,6 +357,23 @@ def test_eval_mc_rejects_unsplittable_truth_without_predictions(tmp_path, capsys
     argv = ["eval", "--preds", str(preds), "--gts", str(gts), "--iou-kind", "piou-mc"]
     assert run(argv) == 1
     assert "at least 4 vertices" in capsys.readouterr().err
+
+
+def test_decompose_bezier_near_copies_of_a_corner_stay_bounded(tmp_path, capsys):
+    # A 200 x 30 box with two copies of one corner off by about 1e-13: its
+    # Bezier fit reached coordinates of 7.1e15 before near-copies were
+    # snapped onto the endpoint.
+    polygon = [[0, 0], [3e-13, 1e-13], [6e-13, -5e-13], [200, 0], [200, 30], [0, 30]]
+    path = tmp_path / "box.jsonl"
+    path.write_text(
+        json.dumps({"image": "box", "instances": [{"polygon": polygon}]}) + "\n",
+        encoding="utf-8",
+    )
+    code = run(["decompose", "--in", str(path), "--method", "bezier"])
+    assert code == 0
+    quads = np.array(json.loads(capsys.readouterr().out)["instances"][0]["components"])
+    assert quads[..., 0].min() >= -1e-9 and quads[..., 0].max() <= 200.0 + 1e-9
+    assert quads[..., 1].min() >= -1e-9 and quads[..., 1].max() <= 30.0 + 1e-9
 
 
 @pytest.mark.parametrize("kind", ["piou-exact", "biou"])

@@ -330,8 +330,8 @@ def _oracle_scenes(seed):
     [("piou-exact", range(8)), ("biou", range(8)), ("piou-mc", range(3))],
 )
 def test_row_form_matches_per_pair_loop_oracle(iou_kind, seeds):
-    # 4 px cells are dense at 2000 samples, so piou-mc values span the thresholds.
-    config = PIoUConfig(k_samples=2000, tolerance=4.0)
+    # 2000 grid centres per pair are few, so piou-mc is exercised off its default.
+    config = PIoUConfig(k_samples=2000)
     totals = np.zeros(3, dtype=int)
     for seed in seeds:
         pred_records, gt_records = _oracle_scenes(seed)
@@ -343,24 +343,24 @@ def test_row_form_matches_per_pair_loop_oracle(iou_kind, seeds):
     assert (totals > 0).all()  # the scenes exercise every decision
 
 
-@pytest.mark.parametrize("config", [None, PIoUConfig(k_samples=2000, tolerance=4.0)])
-def test_piou_mc_samples_each_instance_once_per_image(monkeypatch, config):
-    sampled = []
-    original = piou_module.sample_interior
+def test_piou_mc_assembles_each_instance_once_per_image(monkeypatch):
+    assembled = []
+    original = evaluate_module.assemble
 
-    def counting(seq, k):
-        sampled.append(k)
-        return original(seq, k)
+    def counting(seq):
+        assembled.append(len(seq.quads))
+        return original(seq)
 
     pred_records, gt_records = _oracle_scenes(5)  # 2 of 6 truths ignored, 2 missed
     assert any(g.ignore for g in gt_records[0].instances)
-    monkeypatch.setattr(piou_module, "sample_interior", counting)
-    report = evaluate(pred_records, gt_records, 0.5, "piou-mc", config)
+    monkeypatch.setattr(evaluate_module, "assemble", counting)
+    monkeypatch.setattr(piou_module, "assemble", lambda seq: pytest.fail("piou_mc assembled"))
+    report = evaluate(pred_records, gt_records, 0.5, "piou-mc")
     monkeypatch.undo()
     instances = sum(len(r.instances) for r in [*pred_records, *gt_records])
-    assert sampled == [(config or PIoUConfig()).k_samples] * instances
+    assert assembled == [6] * instances
     assert report.per_image["scene"]["fn"] > 0
-    assert report.per_image == _oracle_per_image(pred_records, gt_records, 0.5, "piou-mc", config)
+    assert report.per_image == _oracle_per_image(pred_records, gt_records, 0.5, "piou-mc", None)
 
 
 def test_strictly_apart_zero_area_outlines_do_not_match():
@@ -374,28 +374,30 @@ def test_strictly_apart_zero_area_outlines_do_not_match():
     assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
 
 
-def test_strictly_apart_slivers_do_not_match_under_piou_mc():
-    # A 0.05 px gap is finer than the 0.3 px cells, so both slivers fill the
-    # same cell row and piou_mc scores them 1.0; their boxes are apart.
-    config = PIoUConfig(tolerance=0.3)
-    gt = Instance(polygon=rect(0.0, 0.0, height=0.1))
-    pred = Instance(polygon=rect(0.0, 0.15, height=0.1), score=1.0)
-    assert piou_mc(_as_sequence(pred, 6), _as_sequence(gt, 6), config).value == 1.0
-    report = evaluate([record("img", pred)], [record("img", gt)], iou_kind="piou-mc", config=config)
-    assert report.per_image["img"] == {"tp": 0, "fp": 1, "fn": 1}
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_STRIP = np.array([[1.002, 0.0], [101.002, 0.0], [101.002, 0.01], [1.002, 0.01]])
 
 
-def test_strictly_apart_pair_scores_0_where_piou_mc_shares_a_cell():
-    # The 0.002 px gap is narrower than the default 0.505 px cell, so both
-    # shapes' samples land in one boundary cell and piou_mc reads 1/202.
-    # The boxes are apart, so evaluate scores the pair 0, its exact IoU.
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    strip = np.array([[1.002, 0.0], [101.002, 0.0], [101.002, 0.01], [1.002, 0.01]])
-    gt = Instance(polygon=Polygon(square), components=square[None])
-    pred = Instance(polygon=Polygon(strip), components=strip[None], score=1.0)
+@pytest.mark.parametrize(
+    "pred, gt",
+    [
+        # 60 x 0.1 px slivers 0.05 px apart in y, decomposed into chains
+        (
+            Instance(polygon=rect(0.0, 0.15, height=0.1), score=1.0),
+            Instance(polygon=rect(0.0, 0.0, height=0.1)),
+        ),
+        # a strip 0.002 px right of a square, each its own one-quad chain
+        (
+            Instance(polygon=Polygon(_STRIP), components=_STRIP[None], score=1.0),
+            Instance(polygon=Polygon(_SQUARE), components=_SQUARE[None]),
+        ),
+    ],
+    ids=["slivers", "strip"],
+)
+def test_strictly_apart_pairs_score_0_under_piou_mc(pred, gt):
+    # Gaps far narrower than a grid step: no centre lies in both outlines.
     est = piou_mc(_as_sequence(pred, 6), _as_sequence(gt, 6))
-    assert (est.intersection_cells, est.union_cells) == (1, 202)
-    assert est.value > 0.004
+    assert est.value == 0.0 and est.intersection_cells == 0 < est.union_cells
     assert piou_exact(pred.polygon, gt.polygon) == 0.0
     report = evaluate(
         [record("img", pred)], [record("img", gt)], iou_threshold=0.004, iou_kind="piou-mc"

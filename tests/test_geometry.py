@@ -564,9 +564,8 @@ def test_bezier_fit_is_stable_on_point_clouds():
         assert np.isfinite(fit).all()
         assert np.array_equal(fit[[0, -1]], side[[0, -1]])
         assert np.abs(bezier_fit_side(nudged, 1001) - fit).max() <= 1e-9 * scale
-    # Interior vertices within rounding of an endpoint make the chord-length
-    # parameters ill-conditioned, so such sides are only checked for finite
-    # points through the exact endpoints.
+    # Integer sides with runs of endpoint copies: finite points through the
+    # exact endpoints (their response to near-copies is checked below).
     for _ in range(40):
         side = np.rint(np.cumsum(rng.uniform(-5.0, 20.0, (int(rng.integers(3, 41)), 2)), axis=0))
         k = int(rng.integers(1, len(side) - 1))
@@ -577,6 +576,35 @@ def test_bezier_fit_is_stable_on_point_clouds():
         fit = bezier_fit_side(side, 1001)
         assert np.isfinite(fit).all()
         assert np.array_equal(fit[[0, -1]], side[[0, -1]])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    head=st.integers(min_value=0, max_value=3),
+    tail=st.integers(min_value=0, max_value=3),
+    middle=st.integers(min_value=0, max_value=3),
+    log_offset=st.floats(min_value=-16.0, max_value=-7.0),
+    far=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_bezier_fit_treats_near_copies_of_an_endpoint_as_copies(
+    seed, head, tail, middle, log_offset, far
+):
+    # Copies of an endpoint moved by up to 1e-7 of the chord used to make the
+    # lstsq rows nearly singular: the fit moved by up to 1e27 times the move.
+    # Snapped onto the endpoint, they move it about as far as they moved.
+    rng = np.random.default_rng(seed)
+    p0, p1 = rng.uniform(-100.0, 100.0, (2, 2)) + far * rng.uniform(-1e4, 1e4, 2)
+    inner = list(rng.uniform(-100.0, 100.0, (middle, 2)))
+    head += head + tail == 0
+    exact = np.array([p0] * (1 + head) + inner + [p1] * (1 + tail))
+    offset = np.linalg.norm(p1 - p0) * 10.0**log_offset
+    nudged = exact.copy()
+    nudged[1 : 1 + head] += offset * rng.uniform(-0.5, 0.5, (head, 2))
+    nudged[len(exact) - 1 - tail : -1] += offset * rng.uniform(-0.5, 0.5, (tail, 2))
+    scale = np.abs(exact).max()
+    moved = np.abs(bezier_fit_side(nudged, 9) - bezier_fit_side(exact, 9)).max()
+    assert moved <= 1e4 * (offset + 1e-15 * scale)
 
 
 @pytest.mark.parametrize("method", ["bspline", "bezier"])

@@ -1,17 +1,18 @@
-"""Interior sampling, cell quantization, and the overlap estimators."""
+"""Row crossings, centre counting, and the overlap estimators."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from textcomp import (
     ComponentSequence,
     PIoUConfig,
+    PIoUEstimate,
     Polygon,
     RibbonParams,
     assemble,
@@ -25,43 +26,10 @@ from textcomp import (
     sample_interior,
     contour_polygon,
 )
-from textcomp import piou as piou_module
-from textcomp.geometry import COORD_BOUND
-from textcomp.piou import _GRID_CELLS, SampledSequence, sample_sequence
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 BOW_TIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-
-
-def point_in_polygon(poly, point):
-    """Test-only even-odd containment; boundary points count as inside."""
-    v = poly.vertices
-    p = np.asarray(point, dtype=float)
-    a, b = v, np.roll(v, -1, axis=0)
-    # boundary: point collinear with an edge and within its extent
-    e, d = b - a, p - a
-    cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
-    scale = max(1.0, float(np.abs(v).max()))
-    near = np.abs(cross) <= 1e-12 * scale * scale
-    lo = np.minimum(a, b) - 1e-12 * scale
-    hi = np.maximum(a, b) + 1e-12 * scale
-    if (near & ((p >= lo) & (p <= hi)).all(axis=1)).any():
-        return True
-    ya, yb = a[:, 1], b[:, 1]
-    straddles = (ya > p[1]) != (yb > p[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = a[:, 0] + (p[1] - ya) / (yb - ya) * (b[:, 0] - a[:, 0])
-    return bool((straddles & (p[0] < x_hit)).sum() % 2 == 1)
-
-
-def test_point_in_polygon_interior_and_boundary():
-    square = Polygon(np.array(SQUARE))
-    assert point_in_polygon(square, (0.5, 0.5))
-    assert point_in_polygon(square, (0.5, 0.0))  # edge counted inside
-    assert point_in_polygon(square, (0.0, 0.0))  # vertex counted inside
-    assert not point_in_polygon(square, (1.5, 0.5))
-    assert not point_in_polygon(square, (0.5, -0.01))
 
 
 def square_chain(x0, y0, size, t=2):
@@ -74,278 +42,127 @@ def square_chain(x0, y0, size, t=2):
     return ComponentSequence(np.array(quads))
 
 
-# ----------------------------------------------------------- sample_interior
+# ------------------------------------------------- sample_interior, quantize
 
 
-def test_sample_unit_quad_centered_grid():
-    pts = sample_interior(ComponentSequence(UNIT_QUAD), 4)
-    got = sorted(map(tuple, np.round(pts, 12).tolist()))
-    assert got == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
-
-
-def test_sample_count_and_shape():
-    for k in (1, 7, 100, 1003):
-        pts = sample_interior(ComponentSequence(UNIT_QUAD), k)
-        assert pts.shape == (k, 2)
-        assert pts.flags.f_contiguous  # each coordinate column is contiguous
-
-
-def test_sample_degenerate_quad_collapses():
-    quad = np.full((1, 4, 2), 3.5)
-    pts = sample_interior(ComponentSequence(quad), 10)
-    assert np.array_equal(pts, np.full((10, 2), 3.5))
-
-
-def test_sample_points_lie_inside_assembled_ribbon():
-    seq = decompose(gen_ribbon(5), 6)
-    poly = assemble(seq)
-    pts = sample_interior(seq, 10_000)
-    inside = sum(point_in_polygon(poly, p) for p in pts)
-    assert inside >= 0.99 * len(pts)
-
-
-def test_sample_is_deterministic():
-    seq = decompose(gen_ribbon(5), 6)
-    assert np.array_equal(sample_interior(seq, 500), sample_interior(seq, 500))
-
-
-def test_sample_rejects_bad_k():
-    with pytest.raises(ValueError):
-        sample_interior(ComponentSequence(UNIT_QUAD), 0)
-
-
-def test_sample_at_the_coordinate_bound_is_finite():
-    # Chains are bounded by COORD_BOUND, so squaring their side vectors never
-    # overflows; a chain at 1e300 is rejected when it is built.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pts = sample_interior(ComponentSequence(UNIT_QUAD * COORD_BOUND), 100)
-    assert np.isfinite(pts).all()
-    assert np.allclose(pts, sample_interior(ComponentSequence(UNIT_QUAD), 100) * COORD_BOUND)
-    with pytest.raises(ValueError, match="exceed"):
-        ComponentSequence(UNIT_QUAD * 1e300)
-
-
-def _pointwise_sample(seq, k):
-    """Oracle sampler: the same grid, each point mapped through the chain on
-    its own rather than per grid column."""
-    q = seq.quads
-    top = np.linalg.norm(q[:, 1] - q[:, 0], axis=1)
-    bot = np.linalg.norm(q[:, 2] - q[:, 3], axis=1)
-    left = np.linalg.norm(q[:, 3] - q[:, 0], axis=1)
-    right = np.linalg.norm(q[:, 2] - q[:, 1], axis=1)
-    arc = 0.5 * (top + bot)
-    total_arc = arc.sum()
-    width = float(np.mean(0.5 * (left + right)))
-    aspect = total_arc / width if total_arc > 0.0 and width > 0.0 else 1.0
-    rows = max(1, int(round(math.sqrt(k / aspect))))
-    cols = int(math.ceil(k / rows))
-    total = rows * cols
-    uu = np.tile((np.arange(cols) + 0.5) / cols, rows)
-    vv = np.repeat((np.arange(rows) + 0.5) / rows, cols)
-    if total > k:
-        keep = np.floor(np.arange(k) * (total / k)).astype(int)
-        uu, vv = uu[keep], vv[keep]
-    if total_arc > 0.0:
-        cum = np.concatenate([[0.0], np.cumsum(arc)]) / total_arc
-    else:
-        cum = np.arange(len(q) + 1) / len(q)
-    f = np.clip(np.searchsorted(cum, uu, side="right") - 1, 0, len(q) - 1)
-    span = cum[f + 1] - cum[f]
-    s = np.where(span > 0.0, (uu - cum[f]) / np.where(span == 0.0, 1.0, span), 0.0)
-    s1 = np.clip(s, 0.0, 1.0)[:, None]
-    v1 = vv[:, None]
-    qs = q[f]
-    top_pt = (1.0 - s1) * qs[:, 0] + s1 * qs[:, 1]
-    bot_pt = (1.0 - s1) * qs[:, 3] + s1 * qs[:, 2]
-    return (1.0 - v1) * top_pt + v1 * bot_pt
-
-
-@pytest.mark.parametrize("t", [1, 3, 6, 9])
-def test_sample_matches_pointwise_oracle_bitwise(t):
-    # Random quads, folded ones included, and ribbon chains; k values whose
-    # grid has more than k points take the evenly spaced subsample.
-    rng = np.random.default_rng(t)
-    chains = [ComponentSequence(rng.uniform(-50.0, 50.0, (t, 4, 2))) for _ in range(3)]
-    chains.append(decompose(gen_ribbon(t, RibbonParams(curvature=0.012)), t))
-    for seq in chains:
-        for k in (1, 2, 3, 7, 10, 99, 101, 997, 1003, 4999, 10_000):
-            expected = _pointwise_sample(seq, k)
-            got = sample_interior(seq, k)
-            assert np.array_equal(got, expected), (t, k)
-
-
-# ------------------------------------------------------------------ quantize
-
-
-def _cell_set(cells):
-    """The cells of a quantize result as a set, after checking its form:
-    int64 (n, 2) rows, distinct and in strictly increasing (x, y) order."""
-    assert cells.dtype == np.int64
-    assert cells.ndim == 2 and cells.shape[1] == 2
-    rows = list(map(tuple, cells.tolist()))
-    assert all(a < b for a, b in zip(rows, rows[1:]))
-    return set(rows)
-
-
-def test_quantize_collapses_shared_cells():
-    assert _cell_set(quantize([(0.1, 0.1), (0.2, 0.2)], 1.0)) == {(0, 0)}
-    assert _cell_set(quantize([(0.1, 0.1), (0.2, 0.2)], 0.1)) == {(1, 1), (2, 2)}
-
-
-def test_quantize_floor_semantics_for_negatives():
-    assert _cell_set(quantize([(-0.05, 0.0)], 0.1)) == {(-1, 0)}
-
-
-def test_quantize_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        quantize([(0.0, 0.0)], 0.0)
+def test_sample_interior_rows_are_half_open():
+    # A row at the square's bottom edge is crossed by both vertical edges, a
+    # row at its top edge by neither, and the horizontal edges cross nothing.
+    ys = np.array([-0.5, 0.0, 0.5, 1.0])
+    row, x = sample_interior(np.array(SQUARE), ys)
+    assert sorted(zip(row.tolist(), x.tolist())) == [(1, 0.0), (1, 1.0), (2, 0.0), (2, 1.0)]
 
 
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
-    tol=st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
+    n=st.integers(min_value=3, max_value=30),
+    integer=st.booleans(),
 )
-@settings(max_examples=50, deadline=None)
-def test_quantize_duplicate_invariance(seed, tol):
-    pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (40, 2))
-    doubled = np.concatenate([pts, pts])
-    assert _cell_set(quantize(pts, tol)) == _cell_set(quantize(doubled, tol))
+@settings(max_examples=60, deadline=None)
+def test_sample_interior_is_even_and_direction_free(seed, n, integer):
+    # Random outlines, self-intersecting ones included; integer vertices put
+    # vertices and horizontal edges exactly on rows.
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-20.0, 20.0, (n, 2))
+    if integer:
+        v = np.rint(v)
+    ys = np.arange(-20.0, 20.5, 0.5)
+    row, x = sample_interior(v, ys)
+    assert (np.bincount(row, minlength=len(ys)) % 2 == 0).all()
+    assert ((x >= v[:, 0].min()) & (x <= v[:, 0].max())).all()
+    # the same edges in reverse order and from another start give the same crossings
+    back = sample_interior(np.roll(v[::-1], 2, axis=0), ys)
+    assert sorted(zip(row.tolist(), x.tolist())) == sorted(zip(*(a.tolist() for a in back)))
 
 
-def _lexsort_quantize(points, tolerance):
-    """Oracle: the cells of every point, lexsorted, with adjacent repeats
-    dropped (the sort-based quantize, run on any box size)."""
-    cells = np.floor(np.asarray(points, dtype=float) / tolerance).astype(np.int64)
-    cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    return cells[first]
+def test_sample_interior_is_finite_on_a_nearly_flat_edge():
+    # 1e150 wide and 1e-200 tall: a slope would overflow, f in [0, 1] cannot.
+    flat = np.array([[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row, x = sample_interior(flat, np.array([5e-201, 0.5]))
+    assert sorted(zip(row.tolist(), x.tolist())) == [(0, 0.0), (0, 5e149), (1, 0.0), (1, 1e150)]
 
 
-_coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
-
-@given(
-    points=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=60),
-    # cells of 1e-4 over a 2e3 spread are far past the grid bound, cells of 10 far inside it
-    log_tol=st.floats(min_value=-4.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_quantize_matches_lexsort_oracle(points, log_tol):
-    tol = 10.0**log_tol
-    expected = _lexsort_quantize(points, tol)
-    c_order = np.array(points)
-    strided = np.repeat(c_order, 2, axis=0)[::2]
-    # any memory layout of the points gives the same column-major cells
-    for pts in (points, c_order, np.asfortranarray(c_order), strided):
-        got = quantize(pts, tol)
-        assert got.dtype == np.int64 and got.flags.f_contiguous
-        assert got.shape == (len(_cell_set(got)), 2)
-        assert np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_quantize_is_exact_near_2_to_the_62(monkeypatch, sign):
-    # Float cells this far out are 1024 apart, so the box spans 2049 x 1025
-    # cells and still takes the bitmap. A flat index formed as i * nj + j
-    # before the box origin is subtracted would round in float64 and
-    # overflow in int64.
-    steps = np.random.default_rng(62).integers(0, [3, 2], (40, 2))
-    steps[:2] = [[0, 0], [2, 1]]  # both corners of the box
-    points = np.array([sign, -sign]) * 2.0**62 + 1024.0 * steps
-    sorts = []
-    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(a))
-    got = quantize(points, 1.0)
-    assert sorts == []
-    assert np.array_equal(got, _lexsort_quantize(points, 1.0))
-
-
-@pytest.mark.parametrize(
-    "box, sorted_path",
-    [((2048, 2048), False), ((5, 838_861), True)],  # 2**22 cells, and 2**22 + 1 = 5 * 838 861
-)
-def test_quantize_grid_bound_is_inclusive(monkeypatch, box, sorted_path):
-    assert _GRID_CELLS == 2048 * 2048 == 5 * 838_861 - 1
-    # The same unit-square cloud stretched over the box, with both corner cells hit.
-    unit = np.random.default_rng(11).uniform(0.0, 1.0, (500, 2))
-    points = np.concatenate([unit, [[0.0, 0.0], [1.0 - 1e-9, 1.0 - 1e-9]]]) * box
-    sorts = []
-    unique = np.unique
-
-    def spy(*args, **kwargs):
-        sorts.append(args)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
-    got = quantize(points, 1.0)
-    assert got[[0, -1]].tolist() == [[0, 0], [box[0] - 1, box[1] - 1]]
-    assert bool(sorts) == sorted_path
-    assert np.array_equal(got, _lexsort_quantize(points, 1.0))
-
-
-def test_quantize_at_the_largest_default_tolerance_grid():
-    # The default cell is 0.005 of the joint box diagonal, so a square joint
-    # box gives the largest grid: 200 / sqrt(2) = 141.4 cells a side, of
-    # which the centered samples reach 141.
-    a = square_chain(0.0, 0.0, 100.0)
-    b = square_chain(37.0, 37.0, 63.0, t=3)
-    est = piou_mc(a, b)
-    tol = est.config.tolerance
-    joined = np.concatenate([sample_interior(a, 10_000), sample_interior(b, 10_000)])
-    cells = quantize(joined, tol)
-    ni, nj = cells.max(axis=0) - cells.min(axis=0) + 1
-    assert ni == nj == 141
-    assert np.array_equal(cells, _lexsort_quantize(joined, tol))
-    assert (est.value, est.intersection_cells, est.union_cells, tol) == _set_piou(a, b)
-
-
-@pytest.mark.parametrize(
-    "points, tol",
-    [
-        ([[np.nan, 0.0]], 1.0),
-        ([[0.0, np.inf]], 1.0),
-        ([[-np.inf, 0.0]], 1.0),
-        ([[2.0**63, 0.0]], 1.0),
-        ([[0.0, -(2.0**63)]], 1.0),
-        ([[0.0, 0.0], [1e6, 1e6]], 1e-14),
-    ],
-)
-def test_quantize_rejects_cells_outside_int64(points, tol):
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        quantize(points, tol)
-
-
-def test_quantize_accepts_the_largest_float_below_2_to_the_63():
-    edge = 2.0**63 - 1024
-    assert quantize([[edge, -edge]], 1.0).tolist() == [[2**63 - 1024, -(2**63 - 1024)]]
-
-
-def test_mc_rejects_a_tolerance_whose_cells_overflow_int64():
-    # 1e6 / 1e-14 = 1e20 > 2**63: a wrapping int64 cast would put every point in one cell.
-    quad = np.array([[[1e6, 1e6], [1e6 + 10.0, 1e6], [1e6 + 10.0, 1e6 + 5.0], [1e6, 1e6 + 5.0]]])
-    seq = ComponentSequence(quad)
-    with pytest.raises(ValueError, match="int64"):
-        piou_mc(seq, seq, PIoUConfig(k_samples=100, tolerance=1e-14))
+def test_quantize_counts_the_centres_left_of_each_crossing():
+    xs = np.array([0.5, 1.5, 2.5])
+    keys = quantize(np.array([0, 0, 1, 2]), np.array([0.5, 0.6, -1.0, 9.0]), xs)
+    # keys are row * 4 + q; a crossing at a centre has that centre on its right
+    assert keys.tolist() == [0, 1, 4, 11]
 
 
 # ------------------------------------------------------------------- piou_mc
+
+
+def _dense_piou(poly_a, poly_b, k=10_000):
+    """Oracle counts: every grid centre piou_mc documents, tested on its own.
+
+    The centre (x, y) is inside an outline when an odd number of its edges,
+    each taken from its lower end, cross height y (ya <= y < yb) at or left
+    of x. Returns (value, covered by both, covered by either), the value
+    being piou_exact's when no centre is covered.
+    """
+    va, vb = (np.asarray(getattr(p, "vertices", p), dtype=float) for p in (poly_a, poly_b))
+    pts = np.concatenate([va, vb])
+    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
+    w, h = x1 - x0, y1 - y0
+    rows = min(k, max(1, round(math.sqrt(k) * math.sqrt(h) / math.sqrt(w))))
+    cols = min(k, max(1, round(k / rows)))
+    xs = x0 + (np.arange(cols) + 0.5) / cols * w
+    ys = y0 + (np.arange(rows) + 0.5) / rows * h
+
+    def inside(v):
+        mask = np.zeros((rows, cols), dtype=bool)
+        for a, b in zip(v, np.roll(v, -1, axis=0)):
+            (xa, ya), (xb, yb) = (a, b) if a[1] <= b[1] else (b, a)
+            hit = (ya <= ys) & (ys < yb)
+            x = xa + (ys[hit] - ya) / (yb - ya) * (xb - xa)
+            mask[hit] ^= x[:, None] <= xs
+        return mask
+
+    in_a, in_b = inside(va), inside(vb)
+    inter, union = int((in_a & in_b).sum()), int((in_a | in_b).sum())
+    return (inter / union if union else piou_exact(va, vb)), inter, union
+
+
+def _mc_pairs():
+    rng = np.random.default_rng(2413)
+    params = RibbonParams(curvature=0.012)
+    for i in range(8):
+        contour = gen_ribbon(int(rng.integers(2**31)), params)
+        gt = assemble(decompose(contour, 6))
+        yield gt, assemble(perturb(contour, 3.0, seed=i))  # curved, overlapping
+        yield gt, Polygon(gt.vertices + 1e4)  # disjoint
+        yield gt, gt  # identical
+    for n in (5, 17, 40):  # self-intersecting, some on integer vertices
+        a, b = rng.uniform(0.0, 30.0, (2, n, 2))
+        yield a, b
+        yield np.rint(a), np.rint(b)
+    yield np.array(BOW_TIE), np.array(SQUARE)
+    yield np.array(SQUARE), np.array([[1.002, 0.0], [101.002, 0.0], [101.002, 0.01], [1.002, 0.01]])
+
+
+@pytest.mark.parametrize("k", [10_000, 2000, 777, 1])
+def test_mc_matches_dense_even_odd_oracle(k):
+    for a, b in _mc_pairs():
+        est = piou_mc(a, b, PIoUConfig(k_samples=k))
+        assert (est.value, est.intersection_cells, est.union_cells) == _dense_piou(a, b, k)
 
 
 def test_mc_identity_is_exactly_one():
     seq = decompose(gen_ribbon(2), 6)
     est = piou_mc(seq, seq)
     assert est.value == 1.0
-    assert est.intersection_cells == est.union_cells
+    assert est.intersection_cells == est.union_cells > 0
 
 
 def test_mc_symmetry_and_determinism():
     a = decompose(gen_ribbon(3), 6)
     b = ComponentSequence(a.quads + np.array([4.0, 2.0]))
-    cfg = PIoUConfig(k_samples=4000, tolerance=2.0)
+    cfg = PIoUConfig(k_samples=4000)
     ab, ba = piou_mc(a, b, cfg), piou_mc(b, a, cfg)
-    assert ab.value == ba.value
-    assert piou_mc(a, b, cfg).value == ab.value
+    assert ab == ba
+    assert piou_mc(a, b, cfg) == ab
 
 
 def test_mc_disjoint_is_zero():
@@ -359,115 +176,39 @@ def test_mc_half_overlapping_unit_squares():
     # 0.5 / 1.5 = 1/3.
     a = ComponentSequence(UNIT_QUAD)
     b = ComponentSequence(UNIT_QUAD + np.array([0.5, 0.0]))
-    est = piou_mc(a, b, PIoUConfig(k_samples=10_000, tolerance=0.01))
-    assert est.value == pytest.approx(1.0 / 3.0, abs=0.02)
-
-
-def test_mc_resolves_default_tolerance_from_extent():
-    a = square_chain(0.0, 0.0, 30.0)
-    b = square_chain(10.0, 0.0, 30.0)
-    est = piou_mc(a, b)
-    diagonal = np.hypot(40.0, 30.0)
-    assert est.config.tolerance == pytest.approx(0.005 * diagonal, rel=1e-12)
+    assert piou_mc(a, b).value == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
 def test_mc_range_and_counts():
     a = square_chain(0.0, 0.0, 20.0)
     b = square_chain(5.0, 3.0, 20.0)
-    est = piou_mc(a, b, PIoUConfig(k_samples=5000, tolerance=1.0))
+    est = piou_mc(a, b, PIoUConfig(k_samples=5000))
     assert 0.0 <= est.value <= 1.0
     assert est.value == est.intersection_cells / est.union_cells
+    assert est.union_cells <= 5000
 
 
-def _set_piou(gt, pred, config=None):
-    """Oracle cell counts: Python sets of cell tuples, with the tolerance
-    resolved as piou_mc documents it."""
-    cfg = config or PIoUConfig()
-    tol = cfg.tolerance
-    if tol is None:
-        pts = np.concatenate([gt.quads.reshape(-1, 2), pred.quads.reshape(-1, 2)])
-        span = pts.max(axis=0) - pts.min(axis=0)
-        diag = float(math.hypot(span[0], span[1]))
-        tol = 0.005 * diag if diag > 0.0 else 1.0
-
-    def cells(seq):
-        points = _pointwise_sample(seq, cfg.k_samples)
-        return set(map(tuple, np.floor(points / tol).astype(np.int64).tolist()))
-
-    a, b = cells(gt), cells(pred)
-    inter, union = len(a & b), len(a | b)
-    return (inter / union if union else 1.0), inter, union, tol
+def test_mc_assembles_sequences_first():
+    contour = gen_ribbon(7, RibbonParams(curvature=0.012))
+    a, b = decompose(contour, 6), perturb(contour, 2.0, seed=7)
+    est = piou_mc(a, b)
+    assert piou_mc(assemble(a), assemble(b)) == est
+    assert piou_mc(assemble(a).vertices, b) == est
 
 
-def _mc_pairs():
-    rng = np.random.default_rng(2413)
-    params = RibbonParams(curvature=0.012)
-    for i in range(8):
-        contour = gen_ribbon(int(rng.integers(2**31)), params)
-        gt = decompose(contour, 6)
-        yield gt, perturb(contour, 3.0, seed=i)  # curved, overlapping
-        yield gt, ComponentSequence(gt.quads + 1e4)  # disjoint
-        yield gt, gt  # identical
-    yield ComponentSequence(np.array([BOW_TIE])), ComponentSequence(np.array([SQUARE]))
+def test_mc_without_covered_centres_takes_the_exact_value():
+    line = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]  # zero area
+    assert piou_mc(line, line) == PIoUEstimate(1.0, 0, 0)
+    # One centre, at (1, 1): the triangle has area but misses it.
+    triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.001]]
+    assert piou_mc(line, triangle, PIoUConfig(k_samples=1)) == PIoUEstimate(0.0, 0, 0)
+    # A sliver 1e-200 wide beside a square that no grid row reaches.
+    sliver = [[0.0, 0.0], [1e-200, 0.0], [1e-200, 1e150], [0.0, 1e150]]
+    est = piou_mc(sliver, SQUARE)
+    assert (est.intersection_cells, est.union_cells) == (0, 0)
+    assert est.value == piou_exact(sliver, SQUARE) > 0.0
 
 
-@pytest.mark.parametrize(
-    "config",
-    [None, PIoUConfig(k_samples=3000, tolerance=1e-6), PIoUConfig(k_samples=5000, tolerance=2.5)],
-)
-def test_mc_matches_cell_set_oracle(config):
-    for gt, pred in _mc_pairs():
-        est = piou_mc(gt, pred, config)
-        got = (est.value, est.intersection_cells, est.union_cells, est.config.tolerance)
-        assert got == _set_piou(gt, pred, config)
-
-
-# quantize calls per pair: 2 when the shared cells fit one bitmap, 3 when the
-# joint cell box exceeds _GRID_CELLS and the union is counted from joined samples
-@pytest.mark.parametrize(
-    "config, quantize_calls",
-    [
-        (None, {2}),
-        (PIoUConfig(k_samples=3000, tolerance=1e-6), {3}),
-        (PIoUConfig(k_samples=5000, tolerance=2.5), {2, 3}),  # 3 on the 1e4 px shifts
-    ],
-)
-def test_mc_presampled_matches_cell_set_oracle(monkeypatch, config, quantize_calls):
-    calls = []
-    monkeypatch.setattr(piou_module, "quantize", lambda p, tol: calls.append(1) or quantize(p, tol))
-    k = (config or PIoUConfig()).k_samples
-    seen = set()
-    for gt, pred in _mc_pairs():
-        gt_s, pred_s = sample_sequence(gt, k), sample_sequence(pred, k)
-        # the same samples stored row-major, as a caller may build them
-        gt_c, pred_c = (
-            SampledSequence(s.quads, np.ascontiguousarray(s.points)) for s in (gt_s, pred_s)
-        )
-        forward, backward = _set_piou(gt, pred, config), _set_piou(pred, gt, config)
-        for a, b in ((gt_s, pred_s), (gt_s, pred), (gt, pred_s), (gt_c, pred_c), (gt_c, pred_s)):
-            for x, y, want in ((a, b, forward), (b, a, backward)):
-                calls.clear()
-                est = piou_mc(x, y, config)
-                got = (est.value, est.intersection_cells, est.union_cells, est.config.tolerance)
-                assert got == want
-                seen.add(len(calls))
-    assert seen == quantize_calls
-
-
-def test_mc_rejects_a_presampled_sequence_of_another_k():
-    seq = square_chain(0.0, 0.0, 10.0)
-    sampled = sample_sequence(seq, 500)
-    assert piou_mc(sampled, seq, PIoUConfig(k_samples=500)).value == 1.0
-    for config in (None, PIoUConfig(k_samples=499)):
-        with pytest.raises(ValueError, match="500 samples"):
-            piou_mc(seq, sampled, config)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="cell-set undercount at the boundary: at about 1.4 samples per cell "
-    "two sample grids mark different boundary cells, so piou_mc reads low",
-)
 def test_mc_tracks_exact_on_default_ribbons():
     rng = np.random.default_rng(60)
     errors = []
@@ -478,22 +219,76 @@ def test_mc_tracks_exact_on_default_ribbons():
     assert np.percentile(errors, 95) <= 0.01
 
 
-def test_mc_bow_tie_counts_its_bilinear_image():
-    # A folded quad is sampled through its bilinear map, which covers less
-    # than its even-odd region: piou_mc differs from piou_exact here.
-    bow_tie = ComponentSequence(np.array([BOW_TIE]))
-    square = ComponentSequence(np.array([SQUARE]))
-    est = piou_mc(bow_tie, square)
-    assert (est.intersection_cells, est.union_cells) == (3510, 13567)
-    assert est.value == pytest.approx(0.2587, abs=5e-5)
+def test_mc_bow_tie_matches_the_even_odd_value():
+    # Both kernels count the bow-tie's two lobes: half the square.
+    est = piou_mc(BOW_TIE, SQUARE)
     assert piou_exact(BOW_TIE, SQUARE) == 0.5
+    assert abs(est.value - 0.5) <= 0.01
+    bow_tie, square = ComponentSequence(np.array([BOW_TIE])), ComponentSequence(np.array([SQUARE]))
+    assert piou_mc(bow_tie, square) == est
+
+
+@st.composite
+def simple_polygons(draw):
+    """Star-shaped, hence simple, polygons: sorted angles, positive radii."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(5.0, 40.0, n)
+    center = rng.uniform(-50.0, 50.0, 2)
+    return center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@st.composite
+def crossing_polygons(draw):
+    """Random polygons, most of which cross themselves."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    return rng.uniform(-50.0, 50.0, 2) + rng.uniform(-40.0, 40.0, (n, 2))
+
+
+outlines = st.one_of(simple_polygons(), crossing_polygons())
+
+
+@given(
+    a=outlines,
+    b=outlines,
+    axis=st.integers(min_value=0, max_value=1),
+    gap=st.floats(min_value=1e-12, max_value=10.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_mc_symmetry_identity_and_box_apart(a, b, axis, gap):
+    assert piou_mc(a, b) == piou_mc(b, a)
+    assert piou_mc(a, a).value == 1.0
+    apart = b.copy()
+    apart[:, axis] += a[:, axis].max() - b[:, axis].min() + gap
+    assume(apart[:, axis].min() > a[:, axis].max())
+    assert piou_mc(a, apart).value == 0.0
+    assert piou_mc(apart, a).intersection_cells == 0
+
+
+@given(
+    a=outlines,
+    b=outlines,
+    ex=st.integers(min_value=-200, max_value=147),
+    ey=st.integers(min_value=-200, max_value=147),
+)
+@settings(max_examples=80, deadline=None)
+def test_mc_is_finite_at_extreme_aspect_ratios(a, b, ex, ey):
+    # Outlines reach |coordinate| 90, so the scaled ones stay within COORD_BOUND.
+    scale = np.array([10.0**ex, 10.0**ey])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = piou_mc(a * scale, b * scale)
+        assert piou_mc(a * scale, a * scale).value == 1.0
+    assert 0.0 <= est.value <= 1.0
+    assert est.union_cells <= PIoUConfig().k_samples
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         PIoUConfig(k_samples=0)
-    with pytest.raises(ValueError):
-        PIoUConfig(tolerance=-1.0)
 
 
 # ---------------------------------------------------------------- piou_exact
@@ -510,6 +305,19 @@ def test_exact_nested_squares():
     outer = Polygon(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
     inner = Polygon(np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]]))
     assert piou_exact(outer, inner) == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("dy", [1e-200, 1e-300, 5e-324])
+def test_exact_is_finite_on_a_nearly_flat_edge(dy):
+    # The edge's slope (x1 - x0) / (y1 - y0) overflows float64; x0 + f (x1 - x0)
+    # with f in [0, 1] does not, and an inactive edge's f is never formed past 1.
+    flat = [[0.0, 0.0], [1e150, dy], [1e150, 1.0], [0.0, 1.0]]
+    half = [[0.0, 0.0], [1e150, 0.0], [1e150, 0.5], [0.0, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert piou_exact(flat, flat) == 1.0
+        assert piou_exact(flat, half) == pytest.approx(0.5, abs=1e-12)
+        assert piou_mc(flat, flat).value == 1.0
 
 
 def _clip_convex(subject, clip):
@@ -661,18 +469,6 @@ def test_exact_agrees_with_raster_oracle_on_self_intersecting_polygons():
     a = rng.uniform(0.0, 1.0, (200, 2))
     b = rng.uniform(0.0, 1.0, (200, 2))
     assert piou_exact(a, b) == pytest.approx(_raster_iou(a, b), abs=1e-4)
-
-
-@st.composite
-def simple_polygons(draw):
-    """Star-shaped, hence simple, polygons: sorted angles, positive radii."""
-    n = draw(st.integers(min_value=3, max_value=12))
-    seed = draw(st.integers(min_value=0, max_value=2**31))
-    rng = np.random.default_rng(seed)
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-    radii = rng.uniform(5.0, 40.0, n)
-    center = rng.uniform(-50.0, 50.0, 2)
-    return center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 @given(a=simple_polygons(), b=simple_polygons())

@@ -343,7 +343,8 @@ def test_row_form_matches_per_pair_loop_oracle(iou_kind, seeds):
     assert (totals > 0).all()  # the scenes exercise every decision
 
 
-def test_piou_mc_assembles_each_instance_once_per_image(monkeypatch):
+@pytest.mark.parametrize("config", [None, PIoUConfig(k_samples=2000)])
+def test_piou_mc_assembles_each_instance_once_per_image(monkeypatch, config):
     assembled = []
     original = evaluate_module.assemble
 
@@ -355,12 +356,36 @@ def test_piou_mc_assembles_each_instance_once_per_image(monkeypatch):
     assert any(g.ignore for g in gt_records[0].instances)
     monkeypatch.setattr(evaluate_module, "assemble", counting)
     monkeypatch.setattr(piou_module, "assemble", lambda seq: pytest.fail("piou_mc assembled"))
-    report = evaluate(pred_records, gt_records, 0.5, "piou-mc")
+    report = evaluate(pred_records, gt_records, 0.5, "piou-mc", config)
     monkeypatch.undo()
     instances = sum(len(r.instances) for r in [*pred_records, *gt_records])
     assert assembled == [6] * instances
     assert report.per_image["scene"]["fn"] > 0
-    assert report.per_image == _oracle_per_image(pred_records, gt_records, 0.5, "piou-mc", None)
+    assert report.per_image == _oracle_per_image(pred_records, gt_records, 0.5, "piou-mc", config)
+
+
+def test_piou_mc_decomposes_polygons_through_the_module_stages(monkeypatch):
+    # Instances without components are split and decomposed by the
+    # evaluate module's own split_long_sides and decompose, once each;
+    # instances with components skip both.
+    calls = []
+    for name in ("split_long_sides", "decompose"):
+        original = getattr(evaluate_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, name, counting)
+    pred_records, gt_records = _oracle_scenes(5)
+    instances = [i for r in [*pred_records, *gt_records] for i in r.instances]
+    bare = sum(i.components is None for i in instances)
+    assert 0 < bare < len(instances)
+    evaluate(pred_records, gt_records, 0.5, "piou-mc")
+    assert sorted(calls) == ["decompose"] * bare + ["split_long_sides"] * bare
+    calls.clear()
+    evaluate(pred_records, gt_records, 0.5, "piou-exact")
+    assert calls == []
 
 
 def test_strictly_apart_zero_area_outlines_do_not_match():

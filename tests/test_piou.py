@@ -26,6 +26,8 @@ from textcomp import (
     sample_interior,
     contour_polygon,
 )
+from textcomp import piou as piou_module
+from textcomp.geometry import COORD_BOUND
 
 UNIT_QUAD = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -84,6 +86,59 @@ def test_sample_interior_is_finite_on_a_nearly_flat_edge():
     assert sorted(zip(row.tolist(), x.tolist())) == [(0, 0.0), (0, 5e149), (1, 0.0), (1, 1e150)]
 
 
+def _per_edge_crossings(v, ys):
+    """Oracle crossings: each edge against each row on its own, in Python."""
+    out = []
+    for a, b in zip(v.tolist(), np.roll(v, -1, axis=0).tolist()):
+        (xa, ya), (xb, yb) = (a, b) if a[1] <= b[1] else (b, a)
+        out += [(r, xa + (y - ya) / (yb - ya) * (xb - xa)) for r, y in enumerate(ys) if ya <= y < yb]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("t", [1, 3, 6, 9])
+def test_sample_interior_matches_per_edge_oracle_bitwise(t):
+    # Random folded outlines and an assembled ribbon, on a centre grid with
+    # every vertex height added, so rows also pass exactly through vertices.
+    rng = np.random.default_rng(t)
+    outlines = [rng.uniform(-50.0, 50.0, (2 * t + 2, 2)) for _ in range(3)]
+    outlines.append(assemble(decompose(gen_ribbon(t, RibbonParams(curvature=0.012)), t)).vertices)
+    for v in outlines:
+        lo, hi = v[:, 1].min(), v[:, 1].max()
+        ys = np.unique(np.concatenate([lo + (np.arange(97) + 0.5) / 97 * (hi - lo), v[:, 1]]))
+        row, x = sample_interior(v, ys)
+        assert sorted(zip(row.tolist(), x.tolist())) == _per_edge_crossings(v, ys)
+
+
+def test_sample_interior_at_the_coordinate_bound_is_finite():
+    # An outline spanning [-COORD_BOUND, COORD_BOUND] on both axes, with a
+    # slanted edge; x differences reach 2 COORD_BOUND and stay finite.
+    v = np.array([[-1.0, -1.0], [1.0, -1.0], [0.5, 1.0], [-1.0, 1.0]]) * COORD_BOUND
+    ys = np.linspace(-1.0, 1.0, 9)[:-1] * COORD_BOUND
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row, x = sample_interior(v, ys)
+        big, small = piou_mc(v, v), piou_mc(v, v * 0.5)
+    assert np.isfinite(x).all()
+    assert (np.bincount(row, minlength=len(ys)) == 2).all()
+    assert big.value == 1.0
+    assert small.value == pytest.approx(piou_exact(v, v * 0.5), abs=0.01)
+
+
+def test_sample_interior_on_degenerate_outlines():
+    ys = np.array([-0.5, 0.0, 0.5, 1.0])
+    point, flat = np.full((4, 2), 0.5), np.array([[0.0, 0.5], [1.0, 0.5], [2.0, 0.5]])
+    for v in (point, flat):
+        row, x = sample_interior(v, ys)
+        assert row.size == x.size == 0
+    # a vertical segment is two coincident edges: each row it spans, twice
+    row, x = sample_interior(np.array([[2.0, 0.0], [2.0, 1.0]]), ys)
+    assert sorted(zip(row.tolist(), x.tolist())) == [(1, 2.0), (1, 2.0), (2, 2.0), (2, 2.0)]
+    # zero-area outlines cover no centre and take piou_exact's conventions
+    assert piou_mc(point, point) == PIoUEstimate(1.0, 0, 0)
+    est = piou_mc(point, SQUARE)
+    assert est.value == 0.0 and est.intersection_cells == 0 < est.union_cells
+
+
 def test_quantize_counts_the_centres_left_of_each_crossing():
     xs = np.array([0.5, 1.5, 2.5])
     keys = quantize(np.array([0, 0, 1, 2]), np.array([0.5, 0.6, -1.0, 9.0]), xs)
@@ -91,7 +146,109 @@ def test_quantize_counts_the_centres_left_of_each_crossing():
     assert keys.tolist() == [0, 1, 4, 11]
 
 
+def test_quantize_on_negative_coordinates():
+    xs = np.array([-2.5, -1.5, -0.5])
+    keys = quantize(np.array([0, 0, 0, 0]), np.array([-3.0, -1.5, -1.4999, -0.05]), xs)
+    assert keys.tolist() == [0, 1, 2, 3]
+
+
+_xs = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=20)
+_crossings = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=50), st.floats(min_value=-2e3, max_value=2e3)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(xs=_xs, crossings=_crossings)
+@settings(max_examples=80, deadline=None)
+def test_quantize_keys_stay_in_their_row(xs, crossings):
+    # Keys of a row fill [row * (cols + 1), row * (cols + 1) + cols], past
+    # the last centre included, so rows never interleave.
+    xs = np.sort(np.asarray(xs))
+    row, x = (np.array(c) for c in zip(*crossings))
+    keys = quantize(row, x, xs)
+    cols = len(xs)
+    assert (keys // (cols + 1) == row).all()
+    assert (keys % (cols + 1) == [(xs < xi).sum() for xi in x]).all()
+
+
+@given(xs=_xs, crossings=_crossings)
+@settings(max_examples=80, deadline=None)
+def test_quantize_orders_keys_like_row_then_x(xs, crossings):
+    # piou_mc sorts keys in place of (row, x) pairs: the order must agree.
+    xs = np.sort(np.asarray(xs))
+    row, x = (np.array(c) for c in zip(*crossings))
+    keys = quantize(row, x, xs)
+    by_pair = np.lexsort((x, row))
+    assert (np.diff(keys[by_pair]) >= 0).all()
+
+
 # ------------------------------------------------------------------- piou_mc
+
+
+@pytest.mark.parametrize(
+    "w, h, k, rows, cols",
+    [
+        (1.0, 1.0, 10_000, 100, 100),
+        (4.0, 1.0, 10_000, 50, 200),
+        (1.0, 4.0, 10_000, 200, 50),
+        (3.0, 1.0, 7, 2, 4),
+        (1e6, 1.0, 10_000, 1, 10_000),  # rows clamped up to 1
+        (1.0, 1e6, 10_000, 10_000, 1),  # rows clamped down to k
+    ],
+    ids=["square", "wide", "tall", "small-k", "flat", "thin"],
+)
+def test_mc_grid_shape(monkeypatch, w, h, k, rows, cols):
+    # The rectangle covers every centre of the grid on its own box; the
+    # grid runs through the module's sample_interior and quantize, once per
+    # outline, as profilers that patch those names expect.
+    seen = []
+    sample, quant = piou_module.sample_interior, piou_module.quantize
+
+    def sampling(v, ys):
+        seen.append(("rows", len(ys)))
+        return sample(v, ys)
+
+    def quantizing(row, x, xs):
+        seen.append(("cols", len(xs)))
+        return quant(row, x, xs)
+
+    monkeypatch.setattr(piou_module, "sample_interior", sampling)
+    monkeypatch.setattr(piou_module, "quantize", quantizing)
+    box = [[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]]
+    est = piou_mc(box, box, PIoUConfig(k_samples=k))
+    assert seen == [("rows", rows), ("cols", cols)] * 2
+    assert est == PIoUEstimate(1.0, rows * cols, rows * cols)
+
+
+@pytest.mark.parametrize("form", ["list", "array", "polygon", "sequence"])
+def test_mc_accepts_every_outline_form(form):
+    seq = decompose(gen_ribbon(11, RibbonParams(curvature=0.012)), 6)
+    other = assemble(perturb(gen_ribbon(11, RibbonParams(curvature=0.012)), 2.0, seed=11))
+    v = assemble(seq).vertices
+    shape = {"list": v.tolist(), "array": v, "polygon": Polygon(v), "sequence": seq}[form]
+    expected = piou_mc(v, other.vertices)
+    assert 0.0 < expected.value < 1.0
+    assert piou_mc(shape, other) == expected
+    assert piou_mc(other, shape) == expected
+
+
+def test_mc_error_falls_as_k_grows():
+    # Finer grids count the same outlines more accurately against the exact
+    # kernel: the median error over 20 ribbon pairs falls with k.
+    rng = np.random.default_rng(20)
+    pairs = []
+    for i in range(20):
+        contour = gen_ribbon(int(rng.integers(2**31)))
+        pairs.append((assemble(decompose(contour, 6)), assemble(perturb(contour, 2.0, seed=i))))
+    exact = [piou_exact(a, b) for a, b in pairs]
+    medians = [
+        np.median([abs(piou_mc(a, b, PIoUConfig(k_samples=k)).value - e) for (a, b), e in zip(pairs, exact)])
+        for k in (300, 3000, 30_000)
+    ]
+    assert medians[0] > medians[1] > medians[2]
+    assert medians[2] <= 0.002
 
 
 def _dense_piou(poly_a, poly_b, k=10_000):

@@ -14,11 +14,10 @@ start-aligned: side_a[0] and side_b[0] sit at the same end of the text.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 __all__ = [
     "Polygon",
@@ -40,11 +39,12 @@ CTW1500_FORMAT_HINT = "ctw1500-14pt"
 # Segments per knot span when tabulating arc length for resampling.
 TABLE_SEGMENTS_PER_SPAN = 1000
 
-# Powers 0..3 of the table's local parameter tau = k / TABLE_SEGMENTS_PER_SPAN.
+# Powers 0..3 of a span's local parameter tau, and the steps of powers 1..3
+# between consecutive table points tau = k / TABLE_SEGMENTS_PER_SPAN (power 0
+# takes no step).
 _POWERS = np.arange(4)
 _TABLE_TAU = np.arange(TABLE_SEGMENTS_PER_SPAN + 1) / TABLE_SEGMENTS_PER_SPAN
-_TABLE_POWERS = _TABLE_TAU ** _POWERS[:, None]
-_UNIT_SPAN = np.array([0.0, 1.0])
+_TABLE_STEPS = np.diff(_TABLE_TAU ** _POWERS[1:, None])
 
 # Cubic Bezier control points to power coefficients: curve(t) = [1, t, t^2, t^3] @ (_BERN @ ctrl).
 _BERN = np.array(
@@ -160,28 +160,91 @@ class ComponentSequence:
         return len(self.quads)
 
 
-def _arc_length_params(coef: np.ndarray, breakpoints: np.ndarray, m: int) -> np.ndarray | None:
-    """Parameters of m equal arc-length points via a dense polyline table.
+def _arc_length_params(coef: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Spans and local parameters of m equal arc-length points via a dense polyline table.
 
     coef holds each span's local power coefficients, shape (spans, k, 2):
-    on [breakpoints[s], breakpoints[s+1]] the curve is sum_j coef[s, j] tau**j
-    for the local parameter tau in [0, 1]. The table takes
-    TABLE_SEGMENTS_PER_SPAN segments per span, all spans' points from one
-    matmul with a constant matrix of tau powers, and inverts the cumulative
-    polyline length linearly. Returns None when the curve has zero total
-    length.
+    on span s the curve is sum_j coef[s, j] tau**j for the local parameter
+    tau in [0, 1]. The table takes TABLE_SEGMENTS_PER_SPAN segments per
+    span, all spans' steps from one matmul with a constant matrix of steps
+    of tau powers, and inverts the cumulative polyline length linearly at
+    the m targets only: each target's table segment and its fraction of
+    that segment give the span and local tau of its point. On a curve
+    parametrised over breakpoints, the parameter is (1 - tau) a + tau b for
+    the span [a, b]. A target at the length of a run of zero-length segments
+    takes the run's last point, and the last target the curve's end.
+    Returns (span, tau), or None when the curve has zero total length.
     """
-    # (spans, 2, table points): x and y rows keep the step lengths elementwise
-    d = np.diff(coef.transpose(0, 2, 1) @ _TABLE_POWERS[: coef.shape[1]], axis=2)
+    # (spans, 2, table steps): x and y rows keep the step lengths elementwise
+    d = coef[:, 1:].transpose(0, 2, 1) @ _TABLE_STEPS[: coef.shape[1] - 1]
     d *= d
     cum = np.concatenate([[0.0], np.cumsum(np.sqrt(d[:, 0] + d[:, 1]))])
     if cum[-1] == 0.0:
         return None
-    tau = _TABLE_TAU[1:]
-    # (1 - tau) a + tau b lands exactly on each span's end b
-    params = breakpoints[:-1, None] * (1.0 - tau) + breakpoints[1:, None] * tau
-    params = np.concatenate([breakpoints[:1], params.ravel()])
-    return np.interp(np.linspace(0.0, cum[-1], m), cum, params)
+    targets = np.linspace(0.0, cum[-1], m)
+    seg = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(cum) - 2)
+    width = cum[seg + 1] - cum[seg]
+    # only the last target can sit on a zero-length segment: it is the end
+    frac = np.divide(targets - cum[seg], width, out=np.ones(m), where=width > 0.0)
+    span, step = np.divmod(seg, TABLE_SEGMENTS_PER_SPAN)
+    return span, (step + frac) / TABLE_SEGMENTS_PER_SPAN
+
+
+@functools.lru_cache(maxsize=64)
+def _span_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clamped uniform B-spline on n control points as per-span power-basis maps.
+
+    The spline has degree min(3, n - 1), so k = degree + 1 control points
+    act on each of its n - degree spans, and uniform knots, so span s covers
+    [s, s + 1] / (n - degree) of its parameter. Returns (blocks, which,
+    window): blocks[which[s]] @ side[window[s]] are span s's local power
+    coefficients, sum_j coef[j] tau**j for tau in [0, 1], and window[s] is
+    s..s+k-1. Every span's local knots, in units of the span width, are
+    -degree..degree+1 clipped at the clamped ends, so only the degree - 1
+    spans nearest each end differ from the interior ones and the entry takes
+    O(n) memory. Its arrays are read-only.
+    """
+    degree = min(3, n - 1)
+    s = np.arange(n - degree)
+    # knots clamp at -lo and hi + 1 spans from the span start
+    lo = np.minimum(s, degree - 1)
+    hi = np.minimum(s[::-1], degree - 1)
+    keys, which = np.unique(lo * degree + hi, return_inverse=True)
+    blocks = np.stack([_span_block(degree, *divmod(int(key), degree)) for key in keys])
+    window = s[:, None] + np.arange(degree + 1)
+    for arr in (blocks, which, window):
+        arr.flags.writeable = False
+    return blocks, which, window
+
+
+@functools.cache  # degree <= 3 and lo, hi < degree: at most 14 blocks
+def _span_block(degree: int, lo: int, hi: int) -> np.ndarray:
+    """Power coefficients of the degree + 1 B-splines alive on the span [0, 1].
+
+    Cox-de Boor on polynomials in tau over the knots -degree..degree+1
+    clipped to [-lo, hi + 1]; row j of the result holds the tau**j
+    coefficient of each basis function, in control-point order.
+    """
+    t = np.clip(np.arange(-degree, degree + 2), -lo, hi + 1).astype(float)
+
+    def ramp(p: np.ndarray, zero: float, one: float) -> np.ndarray:
+        """p times the linear function that is 0 at tau = zero and 1 at tau = one."""
+        out = -zero * p
+        out[1:] += p[:-1]
+        return out / (one - zero)
+
+    # basis[i] holds the coefficients of the function starting at knot t[i]
+    basis = np.zeros((2 * degree + 1, degree + 1))
+    basis[degree, 0] = 1.0
+    for r in range(1, degree + 1):
+        nxt = np.zeros_like(basis)
+        for i in range(2 * degree + 1 - r):
+            if t[i + r] > t[i]:
+                nxt[i] += ramp(basis[i], t[i], t[i + r])
+            if t[i + r + 1] > t[i + 1]:
+                nxt[i] += ramp(basis[i + 1], t[i + r + 1], t[i + 1])
+        basis = nxt
+    return basis[: degree + 1].T
 
 
 def resample_side(side, m: int) -> np.ndarray:
@@ -189,27 +252,22 @@ def resample_side(side, m: int) -> np.ndarray:
 
     The fit is a clamped uniform B-spline with the side's vertices as control
     points: degree 3, lowered to len(side)-1 when the side has fewer than 4
-    vertices. The first and last output points coincide exactly with the
-    side's endpoints. m = 2 returns just the endpoints.
+    vertices. Each span's power coefficients come from the per-vertex-count
+    basis of ``_span_basis`` (cached) applied to the span's control points,
+    ``_arc_length_params`` places the points, and each is evaluated on its
+    span in the power basis. The first and last output points coincide
+    exactly with the side's endpoints. m = 2 returns just the endpoints.
     """
     side = _as_points(side, "side", 2)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    n = len(side)
-    degree = min(3, n - 1)
-    interior = np.arange(1, n - degree) / (n - degree)
-    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-    curve = BSpline(knots, side, degree)
-    breakpoints = np.concatenate([[0.0], interior, [1.0]])
-    # Taylor coefficients at each span start, scaled to the local parameter
-    start, width = breakpoints[:-1], np.diff(breakpoints)[:, None]
-    coef = np.stack(
-        [curve(start, nu=j) * (width**j / math.factorial(j)) for j in range(degree + 1)], axis=1
-    )
-    params = _arc_length_params(coef, breakpoints, m)
-    if params is None:  # all vertices coincide
+    blocks, which, window = _span_basis(len(side))
+    coef = blocks[which] @ side[window]
+    targets = _arc_length_params(coef, m)
+    if targets is None:  # all vertices coincide
         return np.repeat(side[:1], m, axis=0)
-    pts = curve(params)
+    span, tau = targets
+    pts = ((tau[:, None] ** _POWERS[: coef.shape[1]])[:, None] @ coef[span])[:, 0]
     pts[[0, -1]] = side[[0, -1]]  # the evaluation can miss an endpoint by an ulp
     return pts
 
@@ -251,10 +309,10 @@ def bezier_fit_side(side, m: int) -> np.ndarray:
     offset = np.linalg.lstsq(basis, side - p0 - t[:, None] * d, rcond=None)[0]
     interior = p0 + np.array([[1.0], [2.0]]) * d / 3.0 + offset
     coef = _BERN @ np.concatenate([p0, interior, side[-1:]])
-    params = _arc_length_params(coef[None], _UNIT_SPAN, m)
-    if params is None:
+    targets = _arc_length_params(coef[None], m)
+    if targets is None:
         return np.repeat(p0, m, axis=0)
-    pts = params[:, None] ** _POWERS @ coef
+    pts = targets[1][:, None] ** _POWERS @ coef
     pts[[0, -1]] = side[[0, -1]]  # the power basis can miss an endpoint by an ulp
     return pts
 
@@ -273,7 +331,9 @@ def split_long_sides(poly, format_hint: str | None = None) -> TextContour:
     13..7 (reversed into start-aligned order) the other. Otherwise the head
     and tail edges are found by corner sharpness: edge pairs are ranked by
     total exterior turning angle at their endpoints, ties broken toward
-    equal side arc lengths, then toward shorter head/tail edges.
+    equal side arc lengths, then toward shorter head/tail edges. The balance
+    of two side lengths is the shorter over the longer, and 0 where both
+    vanish.
     """
     v = _poly_vertices(poly)
     n = len(v)
@@ -300,7 +360,9 @@ def split_long_sides(poly, format_hint: str | None = None) -> TextContour:
     i, j = i[keep], j[keep]
     la = cum[j] - cum[i + 1]  # vertex i+1 to vertex j
     lb = cum[-1] - cum[j + 1] + cum[i]  # vertex j+1 round to vertex i
-    balance = np.minimum(la, lb) / np.maximum(la, lb)
+    longer = np.maximum(la, lb)
+    # both lengths cancel to 0 when a long edge dwarfs the sides' own lengths
+    balance = np.divide(np.minimum(la, lb), longer, out=np.zeros_like(la), where=longer > 0.0)
     # lexsort is stable, so ties go to the first pair in (i, j) order
     best = np.lexsort(
         (

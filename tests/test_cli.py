@@ -237,6 +237,20 @@ def test_piou_nearly_flat_edge_scores_one(tmp_path, capsys):
         assert payload["pairs"][0]["value"] == 1.0
 
 
+def test_piou_decomposes_a_flat_quad_without_warnings(tmp_path, capsys):
+    # Without components the mc run splits and decomposes the quad itself.
+    polygon = [[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        json.dumps({"a": {"polygon": polygon}, "b": {"polygon": polygon}}) + "\n", encoding="utf-8"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, ["piou", "--pairs", str(pairs)])
+    assert code == 0
+    assert np.isfinite(payload["pairs"][0]["value"])
+
+
 def test_piou_reports_covered_centres_and_has_no_tolerance(tmp_path, capsys):
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     bow_tie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]

@@ -25,7 +25,7 @@ from textcomp import (
     resample_side,
     split_long_sides,
 )
-from textcomp.geometry import COORD_BOUND
+from textcomp.geometry import _BERN, COORD_BOUND, _arc_length_params, _span_basis
 
 UNIT_SQUARE = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -65,19 +65,42 @@ def _basis_matrix(knots, degree, u):
     return basis.T
 
 
-def _resample_oracle(side, m):
-    """Independent resampler: the same fit and arc-length table, evaluated by Cox-de Boor."""
-    n = len(side)
+def _clamped_knots(n):
+    """Degree, knots and breakpoints of the clamped uniform B-spline on n control points."""
     degree = min(3, n - 1)
     interior = np.arange(1, n - degree) / (n - degree)
     knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-    breaks = np.concatenate([[0.0], interior, [1.0]])
+    return degree, knots, np.concatenate([[0.0], interior, [1.0]])
+
+
+def _curve_oracle(knots, degree, side, u):
+    """sum_j B_j(u) side[j], by Cox-de Boor over the 2 * degree + 2 knots of each u's span.
+
+    Only the degree + 1 basis functions alive on a span are evaluated there,
+    so memory stays O(len(u)) for any number of control points.
+    """
+    n_spans = len(side) - degree
+    span = np.clip(np.searchsorted(knots[degree:-degree], u, side="right") - 1, 0, n_spans - 1)
+    order = np.argsort(span, kind="stable")
+    bounds = np.searchsorted(span[order], np.arange(n_spans + 1))
+    out = np.empty((len(u), 2))
+    for s in range(n_spans):
+        at = order[bounds[s] : bounds[s + 1]]
+        if len(at):
+            local = _basis_matrix(knots[s : s + 2 * degree + 2], degree, u[at])
+            out[at] = local @ side[s : s + degree + 1]
+    return out
+
+
+def _resample_oracle(side, m):
+    """Independent resampler: the same fit and arc-length table, evaluated by Cox-de Boor."""
+    degree, knots, breaks = _clamped_knots(len(side))
     spans = [np.linspace(lo, hi, 1001) for lo, hi in zip(breaks, breaks[1:])]
     params = np.concatenate([spans[0]] + [span[1:] for span in spans[1:]])
-    table = _basis_matrix(knots, degree, params) @ side
+    table = _curve_oracle(knots, degree, side, params)
     cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(table, axis=0), axis=1))])
     u = np.interp(np.linspace(0.0, cum[-1], m), cum, params)
-    return _basis_matrix(knots, degree, u) @ side
+    return _curve_oracle(knots, degree, side, u)
 
 
 def _arc_length_params_oracle(eval_fn, breakpoints, m):
@@ -96,12 +119,9 @@ def _arc_length_params_oracle(eval_fn, breakpoints, m):
 
 def _resample_table_oracle(side, m):
     """resample_side with scipy evaluating every table point."""
-    n = len(side)
-    degree = min(3, n - 1)
-    interior = np.arange(1, n - degree) / (n - degree)
-    knots = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    degree, knots, breaks = _clamped_knots(len(side))
     curve = BSpline(knots, side, degree)
-    params = _arc_length_params_oracle(curve, np.concatenate([[0.0], interior, [1.0]]), m)
+    params = _arc_length_params_oracle(curve, breaks, m)
     if params is None:
         return np.repeat(side[:1], m, axis=0)
     pts = curve(params)
@@ -155,6 +175,115 @@ def test_resample_matches_cox_de_boor_oracle():
                 expected = _resample_oracle(side, m)
                 scale = np.abs(expected).max()
                 assert np.abs(got - expected).max() <= 1e-12 * scale
+
+
+def test_span_local_oracle_matches_dense_cox_de_boor():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 5, 8, 14):
+        side = np.cumsum(rng.uniform(-5.0, 20.0, (n, 2)), axis=0)
+        degree, knots, breaks = _clamped_knots(n)
+        u = np.concatenate([rng.uniform(0.0, 1.0, 300), breaks])
+        dense = _basis_matrix(knots, degree, u) @ side
+        local = _curve_oracle(knots, degree, side, u)
+        assert np.abs(local - dense).max() <= 1e-14 * np.abs(side).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 200, 2000])
+def test_cached_basis_matches_cox_de_boor_oracle(n):
+    rng = np.random.default_rng(n)
+    side = np.cumsum(rng.uniform(-5.0, 20.0, (n, 2)), axis=0)
+    for m in (2, 7, 30):
+        expected = _resample_oracle(side, m)
+        assert np.abs(resample_side(side, m) - expected).max() <= 1e-12 * np.abs(expected).max()
+    # scaled to the coordinate bound, the power basis stays finite
+    big = side * (COORD_BOUND / np.abs(side).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (2, 7, 30):
+            pts = resample_side(big, m)
+            assert np.isfinite(pts).all()
+            assert np.array_equal(pts[[0, -1]], big[[0, -1]])
+    assert np.abs(pts - _resample_oracle(big, 30)).max() <= 1e-12 * COORD_BOUND
+
+
+_ORIGIN_RUN = [[0.0, 0.0]] * 4
+
+
+@pytest.mark.parametrize(
+    ("side", "constant_spans"),
+    [
+        (np.cumsum(np.random.default_rng(5).uniform(-5.0, 20.0, (9, 2)), axis=0), 0),
+        (_ORIGIN_RUN + [[3.0, 1.0], [7.0, -2.0], [12.0, 0.0]], 1),
+        # the last target sits on zero-length table steps: its divisor is 0
+        ([[12.0, 0.0], [7.0, -2.0], [3.0, 1.0]] + _ORIGIN_RUN, 1),
+        # lopsided, so that no target lands within rounding of the run's length, where
+        # any parameter on the run is the same point
+        ([[-9.0, 4.0], [-5.0, 1.0]] + _ORIGIN_RUN + [[0.0, 0.0], [6.0, 1.0], [13.0, 5.0]], 2),
+        ([[0.0, 0.0], [0.0, 0.0], [4.0, 3.0], [4.0, 3.0], [8.0, 0.0], [8.0, 0.0]], 0),
+        ([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]], 0),
+        ([[0.0, 0.0], [10.0, 0.0]], 0),
+    ],
+    ids=["walk", "leading-run", "trailing-run", "middle-run", "doubled", "quadratic", "line"],
+)
+def test_arc_length_params_match_table_oracle(side, constant_spans):
+    side = np.asarray(side, dtype=float)
+    degree, knots, breaks = _clamped_knots(len(side))
+    blocks, which, window = _span_basis(len(side))
+    coef = blocks[which] @ side[window]
+    # a span on copies of one point is constant: every table step on it is exactly 0
+    assert (~coef[:, 1:].any(axis=(1, 2))).sum() == constant_spans
+    curve = BSpline(knots, side, degree)
+    for m in (2, 7, 30):
+        span, tau = _arc_length_params(coef, m)
+        got = breaks[span] * (1.0 - tau) + breaks[span + 1] * tau
+        assert np.abs(got - _arc_length_params_oracle(curve, breaks, m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "ctrl",
+    [
+        [[0.0, 0.0], [3.0, 8.0], [9.0, -4.0], [12.0, 1.0]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [6.0, 3.0]],
+        [[0.0, 0.0], [0.0, 0.0], [6.0, 3.0], [6.0, 3.0]],
+        _ORIGIN_RUN,
+    ],
+    ids=["curve", "triple-start", "doubled-ends", "point"],
+)
+def test_arc_length_params_on_a_bezier_span_match_table_oracle(ctrl):
+    ctrl = np.asarray(ctrl)
+    for m in (2, 7, 30):
+        targets = _arc_length_params((_BERN @ ctrl)[None], m)
+        expected = _arc_length_params_oracle(
+            lambda t: _bezier_eval_oracle(ctrl, t), np.array([0.0, 1.0]), m
+        )
+        if expected is None:
+            assert targets is None
+            continue
+        span, tau = targets
+        assert not span.any()
+        assert np.abs(tau - expected).max() <= 1e-12
+
+
+def test_span_basis_cache_is_read_only_and_linear_in_n():
+    for n in (2, 3, 4, 7, 50):
+        for arr in _span_basis(n):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+    # interior spans share one block, so a long side's entry stays O(n)
+    assert sum(arr.nbytes for arr in _span_basis(20_000)) < 2_000_000
+
+
+def test_resample_results_share_no_memory():
+    rng = np.random.default_rng(12)
+    for side in (rng.uniform(-50.0, 50.0, (7, 2)), np.ones((5, 2))):
+        first, second = resample_side(side, 9), resample_side(side, 9)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        for arr in _span_basis(len(side)):
+            assert not np.shares_memory(first, arr)
+        first[:] = np.nan
+        assert np.array_equal(resample_side(side, 9), second)
 
 
 # --------------------------------------------------------- decompose/assemble
@@ -315,6 +444,16 @@ def test_split_matches_loop_oracle_on_golden_file():
         for instance in record.instances:
             _assert_split_matches_oracle(instance.polygon.vertices)
 
+
+
+def test_split_flat_quad_takes_no_invalid_step():
+    # The unit sides cancel to length 0 beside cumulative lengths near 2e150;
+    # a split between two vanishing sides has balance 0, not 0 / 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        contour = split_long_sides([[0.0, 0.0], [1e150, 1e-200], [1e150, 1.0], [0.0, 1.0]])
+    assert np.array_equal(contour.side_a, [[1e150, 1.0], [0.0, 1.0]])
+    assert np.array_equal(contour.side_b, [[1e150, 1e-200], [0.0, 0.0]])
 
 
 def test_split_fixed_14pt_layout():

@@ -6,10 +6,11 @@ outlines and counts the centres each covers under the even-odd rule. Per
 grid row, ``sample_interior`` finds where an outline's edges cross the row
 and ``quantize`` turns each crossing into the number of the row's centres
 left of it, so coverage is counted interval by interval, never point by
-point. ``piou_exact`` gives the exact even-odd IoU by slab integration, and
-``biou`` the axis-aligned box baseline. All three take polygons (or vertex
-arrays); ``piou_mc`` also takes a component sequence, which it assembles
-first.
+point. ``piou_exact`` gives the exact even-odd IoU by slab integration,
+crossing the slab mid-heights with the same row crossings and even-odd
+sweep, and ``biou`` the axis-aligned box baseline. All three take polygons
+(or vertex arrays); ``piou_mc`` also takes a component sequence, which it
+assembles first.
 """
 
 from __future__ import annotations
@@ -62,21 +63,49 @@ def sample_interior(vertices: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, n
     an even number of times. The crossing is xa + f (xb - xa) with f in
     [0, 1), so nothing overflows for coordinates within COORD_BOUND.
     """
+    return _row_crossings(ys, *_edges(vertices))
+
+
+def _edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower ends (xa, ya) and upper ends (xb, yb) of a closed outline's edges."""
     nxt = np.roll(vertices, -1, axis=0)
     up = (vertices[:, 1] <= nxt[:, 1])[:, None]
-    (xa, ya), (xb, yb) = np.where(up, vertices, nxt).T, np.where(up, nxt, vertices).T
+    return np.where(up, vertices, nxt).T, np.where(up, nxt, vertices).T
+
+
+def _x_at(y, x0, y0, x1, y1):
+    """x at heights y in [y0, y1] of the edges from (x0, y0) up to (x1, y1).
+
+    The crossing is x0 + f (x1 - x0) with f in [0, 1]: no slope is formed,
+    so nothing overflows for coordinates within COORD_BOUND, however flat
+    the edge. Callers pass only heights within each edge's extent.
+    """
+    return x0 + (y - y0) / (y1 - y0) * (x1 - x0)
+
+
+def _row_crossings(ys, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(row, x) where the edges from lower to upper cross the rows at sorted ys."""
+    (xa, ya), (xb, yb) = lower, upper
     first = np.searchsorted(ys, ya)
     counts = np.searchsorted(ys, yb) - first
     edge = np.repeat(np.arange(len(counts)), counts)
     row = np.arange(len(edge)) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    f = (ys[row] - ya[edge]) / (yb - ya)[edge]
-    return row, xa[edge] + f * (xb - xa)[edge]
+    return row, _x_at(ys[row], xa[edge], ya[edge], xb[edge], yb[edge])
 
 
 def quantize(row: np.ndarray, x: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Flat keys row * (len(xs) + 1) + q of crossings, q the number of the
     row's centres (at sorted xs) strictly left of the crossing."""
     return row * (len(xs) + 1) + np.searchsorted(xs, x)
+
+
+def _even_odd(in_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the gaps inside A and B, and inside A or B, between crossings
+    sorted by (row, x), in_a marking A's crossings."""
+    # each outline crosses every row an even number of times, so its
+    # running parity is 0 again at each row's end
+    pa, pb = np.cumsum(in_a)[:-1] & 1, np.cumsum(~in_a)[:-1] & 1
+    return pa & pb, pa | pb
 
 
 def _outline(shape) -> np.ndarray:
@@ -112,28 +141,15 @@ def piou_mc(poly_a, poly_b, config: PIoUConfig | None = None) -> PIoUEstimate:
         keys_a, keys_b = (quantize(*sample_interior(v, ys), xs) for v in (va, vb))
         keys = np.concatenate([keys_a, keys_b])
         order = np.argsort(keys, kind="stable")
-        in_a = order < len(keys_a)
-        # each outline crosses every row an even number of times, so its
-        # running parity is 0 again at each row's end
-        pa, pb = np.cumsum(in_a)[:-1] & 1, np.cumsum(~in_a)[:-1] & 1
+        both, either = _even_odd(order < len(keys_a))
         steps = np.diff(keys[order])
-        inter, union = int(steps @ (pa & pb)), int(steps @ (pa | pb))
+        inter, union = int(steps @ both), int(steps @ either)
     value = inter / union if union > 0 else piou_exact(va, vb)
     return PIoUEstimate(value, inter, union)
 
 
 # Elements per (rows x edges) block: bounds memory for inputs with many crossings.
 _BLOCK = 1 << 16
-
-
-def _x_at(y, x0, y0, x1, y1):
-    """x at heights y in [y0, y1] of the edges from (x0, y0) up to (x1, y1).
-
-    The crossing is x0 + f (x1 - x0) with f in [0, 1]: no slope is formed,
-    so nothing overflows for coordinates within COORD_BOUND, however flat
-    the edge. Callers pass only heights within each edge's extent.
-    """
-    return x0 + (y - y0) / (y1 - y0) * (x1 - x0)
 
 
 def _crossing_heights(x0, y0, x1, y1) -> list[np.ndarray]:
@@ -162,38 +178,29 @@ def piou_exact(poly_a, poly_b) -> float:
     of times, so a bow-tie covers both lobes and a zero-area outline covers
     nothing. Slabs are cut at every vertex height and every height where
     two edges of either polygon cross; inside a slab the edges' x-order is
-    fixed, so the covered lengths of A, B, A and B, and A or B are linear
-    in y and mid-height length times slab height is exact. Empty
-    conventions: both areas zero -> 1.0, one zero -> 0.0.
+    fixed, so covered lengths are linear in y and mid-height length times
+    slab height is exact. Empty conventions: both areas zero -> 1.0, one
+    zero -> 0.0.
     """
-    va, vb = _poly_vertices(poly_a), _poly_vertices(poly_b)
-    start = np.concatenate([va, vb])
-    end = np.concatenate([np.roll(va, -1, axis=0), np.roll(vb, -1, axis=0)])
-    up = (start[:, 1] < end[:, 1])[:, None]
-    lo, hi = np.where(up, start, end), np.where(up, end, start)
-    keep = lo[:, 1] < hi[:, 1]  # horizontal edges never cross a mid-height
-    in_a = (np.arange(len(start)) < len(va))[keep]
-    (x0, y0), (x1, y1) = lo[keep].T, hi[keep].T
-    ys = np.unique(np.concatenate([start[:, 1], *_crossing_heights(x0, y0, x1, y1)]))
+    edges = [_edges(_poly_vertices(p)) for p in (poly_a, poly_b)]
+    (x0, y0), (x1, y1) = (np.concatenate(ends, axis=1) for ends in zip(*edges))
+    ys = np.unique(np.concatenate([y0, y1, *_crossing_heights(x0, y0, x1, y1)]))
     mids, heights = 0.5 * (ys[:-1] + ys[1:]), np.diff(ys)
-    area = np.zeros(4)  # integrals of the covered lengths of A, B, A and B, A or B
-    step = max(1, _BLOCK // max(len(x0), 1))
+    inter = union = 0.0
+    step = max(1, _BLOCK // len(x0))
     for s in range(0, len(mids), step):
-        y = mids[s : s + step, None]
-        active = (y0 < y) & (y < y1)
-        # an inactive edge is placed at its lower end, so its f is 0, not past 1
-        x = _x_at(np.where(active, y, y0), x0, y0, x1, y1)
-        x = np.where(active, x, start[:, 0].max())
-        order = np.argsort(x, axis=1)
-        crossed = np.take_along_axis(active, order, axis=1)
-        pa = np.cumsum(crossed & in_a[order], axis=1)[:, :-1] & 1
-        pb = np.cumsum(crossed & ~in_a[order], axis=1)[:, :-1] & 1
-        seg = np.diff(np.take_along_axis(x, order, axis=1), axis=1) * heights[s : s + step, None]
-        area += [np.sum(seg * c) for c in (pa, pb, pa & pb, pa | pb)]
-    area_a, area_b, inter, union = area
-    if area_a == 0.0 or area_b == 0.0:
-        return float(area_a == area_b)
-    return float(inter / union)
+        (row_a, x_a), (row_b, x_b) = (_row_crossings(mids[s : s + step], *e) for e in edges)
+        row, x = np.concatenate([row_a, row_b]), np.concatenate([x_a, x_b])
+        rank = np.empty_like(row)
+        rank[np.argsort(x)] = np.arange(len(x))
+        # each edge's crossings arrive as one run of rising keys, which a stable sort merges
+        order = np.argsort(row * len(x) + rank, kind="stable")
+        both, either = _even_odd(order < len(x_a))
+        area = np.diff(x[order]) * heights[s + row[order[:-1]]]
+        # einsum, not a float @, which would call BLAS and its thread pool
+        inter += np.einsum("i,i", area, both)
+        union += np.einsum("i,i", area, either)
+    return float(inter / union) if union > 0.0 else 1.0
 
 
 def biou(poly_a, poly_b) -> float:

@@ -30,6 +30,7 @@ __all__ = ["RibbonParams", "GenerationError", "gen_ribbon", "perturb", "gen_scen
 # Confidence attached to a perturbed sequence drops linearly with jitter size.
 SCORE_NOISE_SLOPE = 0.1
 
+# Fewest centreline samples per ribbon; a ribbon takes one per side vertex when it has more.
 _DENSE_STEPS = 256
 # Knots of the piecewise-linear heading profile.
 _HEADING_KNOTS = 16
@@ -73,10 +74,11 @@ def _ribbon_attempt(rng: np.random.Generator, params: RibbonParams) -> TextConto
     knot_s = np.linspace(0.0, length, _HEADING_KNOTS)
     knot_theta = theta0 + np.concatenate([[0.0], np.cumsum(turns)])
 
-    s = np.linspace(0.0, length, _DENSE_STEPS)
+    dense = max(_DENSE_STEPS, params.side_vertices)
+    s = np.linspace(0.0, length, dense)
     theta = np.interp(s, knot_s, knot_theta)
     step = np.diff(s)
-    center = np.zeros((_DENSE_STEPS, 2))
+    center = np.zeros((dense, 2))
     center[1:, 0] = np.cumsum(np.cos(theta[:-1]) * step)
     center[1:, 1] = np.cumsum(np.sin(theta[:-1]) * step)
 
@@ -85,7 +87,7 @@ def _ribbon_attempt(rng: np.random.Generator, params: RibbonParams) -> TextConto
     width = np.interp(s, np.linspace(0.0, length, 4), width_knots)
     normal = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
 
-    idx = np.round(np.linspace(0, _DENSE_STEPS - 1, params.side_vertices)).astype(int)
+    idx = np.round(np.linspace(0, dense - 1, params.side_vertices)).astype(int)
     side_a = center[idx] + width[idx, None] * normal[idx]
     side_b = center[idx] - width[idx, None] * normal[idx]
     return TextContour(side_a=side_a, side_b=side_b)

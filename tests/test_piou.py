@@ -605,9 +605,11 @@ def _raster_iou(poly_a, poly_b, resolution=4096):
 
 
 def test_exact_agrees_with_raster_oracle_on_curved_ribbons():
-    # Non-convex inputs, which the convex clipping oracle cannot cover.
+    # Non-convex inputs, which the convex clipping oracle cannot cover, and
+    # one outline with 1000 vertices per side against a shifted copy.
     rng = np.random.default_rng(2412)
     params = RibbonParams(curvature=0.012)
+    pairs = []
     for i in range(50):
         contour = gen_ribbon(int(rng.integers(2**31)), params)
         rebuilt = assemble(decompose(contour, 6))
@@ -616,8 +618,11 @@ def test_exact_agrees_with_raster_oracle_on_curved_ribbons():
         else:
             noisy = assemble(perturb(contour, 3.0, seed=i)).vertices
             other = Polygon(noisy + rng.uniform(-10.0, 10.0, 2))
-        expected = _raster_iou(rebuilt, other)
-        assert piou_exact(rebuilt, other) == pytest.approx(expected, abs=1e-4)
+        pairs.append((rebuilt, other))
+    long = contour_polygon(gen_ribbon(0, RibbonParams(curvature=0.012, side_vertices=1000)))
+    pairs.append((long, Polygon(long.vertices + [3.0, 2.0])))
+    for a, b in pairs:
+        assert piou_exact(a, b) == pytest.approx(_raster_iou(a, b), abs=1e-4)
 
 
 def test_exact_agrees_with_raster_oracle_on_self_intersecting_polygons():
@@ -626,6 +631,17 @@ def test_exact_agrees_with_raster_oracle_on_self_intersecting_polygons():
     a = rng.uniform(0.0, 1.0, (200, 2))
     b = rng.uniform(0.0, 1.0, (200, 2))
     assert piou_exact(a, b) == pytest.approx(_raster_iou(a, b), abs=1e-4)
+
+
+def test_exact_does_not_depend_on_the_block_size(monkeypatch):
+    # One slab per block: each block's rows must still find their own slab heights.
+    rng = np.random.default_rng(7)
+    tangled = rng.uniform(0.0, 1.0, (200, 2)), rng.uniform(0.0, 1.0, (200, 2))
+    contour = gen_ribbon(11, RibbonParams(curvature=0.012))
+    ribbons = assemble(decompose(contour, 6)), assemble(perturb(contour, 3.0, seed=1))
+    expected = [piou_exact(*tangled), piou_exact(*ribbons)]
+    monkeypatch.setattr(piou_module, "_BLOCK", 1)
+    assert [piou_exact(*tangled), piou_exact(*ribbons)] == pytest.approx(expected, abs=1e-12)
 
 
 @given(a=simple_polygons(), b=simple_polygons())

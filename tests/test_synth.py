@@ -41,6 +41,13 @@ def test_ribbon_side_vertex_counts():
     assert custom.side_a.shape == (10, 2)
 
 
+@pytest.mark.parametrize("n", [300, 1000])
+def test_ribbon_has_more_side_vertices_than_dense_steps(n):
+    contour = gen_ribbon(3, RibbonParams(side_vertices=n))
+    assert contour.side_a.shape == contour.side_b.shape == (n, 2)
+    assert is_simple(contour_polygon(contour))
+
+
 def test_every_ribbon_boundary_is_simple():
     for seed in range(50):
         assert is_simple(contour_polygon(gen_ribbon(seed)))

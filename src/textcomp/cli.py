@@ -405,6 +405,14 @@ def _cmd_render(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer, so a negative count is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common_io(parser):
     parser.add_argument("--in", dest="infile", required=True, help="input JSONL file")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -442,7 +450,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--preds", required=True)
     p.add_argument("--gts", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--n-max", type=int, default=100, help="prediction capacity (default 100)")
+    p.add_argument("--n-max", type=_count, default=100, help="prediction capacity (default 100)")
     p.add_argument("--t", type=int, default=6)
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--gamma", type=float, default=2.0)
@@ -465,7 +473,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic scenes")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=5, help="instances per image")
-    p.add_argument("--images", type=int, default=1)
+    p.add_argument("--images", type=_count, default=1)
     p.add_argument("--canvas", default="1024x768")
     p.add_argument("--curvature", choices=tuple(CURVATURE_LEVELS), default="medium")
     p.add_argument("--out", required=True, help="output JSONL path")

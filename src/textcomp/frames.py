@@ -10,7 +10,6 @@ semantics, and must round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -18,22 +17,21 @@ from .geometry import ComponentSequence, Polygon, _as_points, _as_scores, assemb
 
 __all__ = ["FrameGrid", "InstancePrediction", "to_frames", "from_frames"]
 
-ScoreAgg = Literal["mean", "min", "geomean"]
-
 
 @dataclass
 class FrameGrid:
     """Component quads arranged frame-major: quads[f, i] is instance i at frame f.
 
     Quads are checked by ``geometry._as_points`` and scores by
-    ``geometry._as_scores``, the validators ``ComponentSequence`` uses too.
+    ``geometry._as_scores``, the validators ``ComponentSequence`` uses too;
+    like a sequence, a grid holds at least one frame.
     """
 
     quads: np.ndarray  # (t, n, 4, 2)
     scores: np.ndarray | None = None  # (t, n)
 
     def __post_init__(self) -> None:
-        self.quads = _as_points(self.quads, "quads", 0, (4, 2), ("t", "n"))
+        self.quads = _as_points(self.quads, "quads", 1, (4, 2), ("t", "n"))
         if self.scores is not None:
             self.scores = _as_scores(self.scores, "scores", self.quads.shape[:2])
 
@@ -77,29 +75,12 @@ def to_frames(sequences: list[ComponentSequence]) -> FrameGrid:
     return FrameGrid(quads, scores)
 
 
-def _aggregate(scores: np.ndarray, how: ScoreAgg) -> float:
-    if how == "mean":
-        return float(scores.mean())
-    if how == "min":
-        return float(scores.min())
-    if how == "geomean":
-        if (scores == 0.0).any():
-            return 0.0
-        return float(np.exp(np.log(scores).mean()))
-    raise ValueError(f"unknown score aggregation {how!r}")
-
-
-def from_frames(
-    grid: FrameGrid,
-    score_threshold: float = 0.5,
-    score_agg: ScoreAgg = "mean",
-) -> list[InstancePrediction]:
+def from_frames(grid: FrameGrid, score_threshold: float = 0.5) -> list[InstancePrediction]:
     """Regroup a frame grid into instance predictions and filter by confidence.
 
-    Each instance's per-frame scores are aggregated (mean, min, or geometric
-    mean) into one confidence; instances strictly below score_threshold are
-    dropped. Without scores every instance is kept with confidence 1.0.
-    Instance order is preserved.
+    Each instance's confidence is the mean of its per-frame scores;
+    instances strictly below score_threshold are dropped. Without scores
+    every instance is kept with confidence 1.0. Instance order is preserved.
     """
     if not 0.0 <= score_threshold <= 1.0:
         raise ValueError(f"score_threshold must lie in [0, 1], got {score_threshold}")
@@ -107,7 +88,7 @@ def from_frames(
     for i in range(grid.slot_count):
         seq_scores = grid.scores[:, i] if grid.scores is not None else None
         seq = ComponentSequence(quads=grid.quads[:, i].copy(), scores=seq_scores)
-        confidence = 1.0 if seq_scores is None else _aggregate(seq_scores, score_agg)
+        confidence = 1.0 if seq_scores is None else float(seq_scores.mean())
         if confidence < score_threshold:
             continue
         polygon = assemble(seq)

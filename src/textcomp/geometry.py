@@ -76,10 +76,14 @@ def _as_points(
     for the error message, and the first axis needs at least min_len entries.
     NaN and infinities fail the range test.
     """
-    pts = np.asarray(arr, dtype=float)
-    if pts.ndim != len(lead) + len(trailing) or pts.shape[len(lead) :] != trailing:
+    try:
+        pts = np.asarray(arr, dtype=float)
+    except ValueError:  # ragged lists or strings; numpy's message names no argument
+        pts = None
+    if pts is None or pts.ndim != len(lead) + len(trailing) or pts.shape[len(lead) :] != trailing:
         expected = ", ".join([*lead, *map(str, trailing)])
-        raise ValueError(f"{name} must have shape ({expected}), got {pts.shape}")
+        got = "ragged or non-numeric entries" if pts is None else pts.shape
+        raise ValueError(f"{name} must have shape ({expected}), got {got}")
     if pts.shape[0] < min_len:
         raise ValueError(f"{name} has {pts.shape[0]} entries, needs at least {min_len}")
     # max propagates NaN, and NaN compares false
@@ -113,7 +117,7 @@ class Polygon:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        self.vertices = _as_points(self.vertices, "vertices", 3)
+        self.vertices = _as_points(self.vertices, "polygon", 3)
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -11,8 +11,10 @@ The JSON schema per line is
                                   "score"?: float, "ignore"?: bool,
                                   "components"?: [[[x, y] * 4], ...]}]}
 with unknown keys tolerated on read and coordinates written at full
-round-trip precision. Files are written with LF line endings; CRLF input is
-accepted.
+round-trip precision. The reader checks only JSON types; lengths, shapes and
+ranges are checked by the ``Polygon`` and ``Instance`` constructors, whose
+``ValueError`` becomes a ``SchemaError`` naming the line and the field. Files
+are written with LF line endings; CRLF input is accepted.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class Instance:
     """One annotated or predicted text instance.
 
     score is checked by ``geometry._as_scores`` and components by
-    ``geometry._as_points``, the validators ``ComponentSequence`` uses too.
+    ``geometry._as_points``, the validators ``ComponentSequence`` uses too;
+    like a sequence, components hold at least one quad.
     """
 
     polygon: Polygon
@@ -72,7 +75,7 @@ class Instance:
         if self.score is not None:
             self.score = float(_as_scores(self.score, "score", ()))
         if self.components is not None:
-            self.components = _as_points(self.components, "components", 0, (4, 2), ("t",))
+            self.components = _as_points(self.components, "components", 1, (4, 2), ("t",))
 
 
 @dataclass
@@ -120,51 +123,44 @@ def _require(condition: bool, message: str, line: int | None) -> None:
         raise SchemaError(message, line)
 
 
-def _parse_points(obj: Any, what: str, line: int | None) -> np.ndarray:
-    _require(isinstance(obj, list) and len(obj) > 0, f"{what} must be a non-empty list", line)
-    for pt in obj:
-        _require(
-            isinstance(pt, list) and len(pt) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pt),
-            f"{what} entries must be [x, y] number pairs",
-            line,
-        )
-    return np.asarray(obj, dtype=float)
+def _is_nested_numbers(obj: Any, depth: int) -> bool:
+    """True when obj is lists nested depth >= 1 levels deep around JSON numbers.
+
+    numpy would read true as 1.0 and "1.5" as 1.5, so the leaves' types are
+    checked here; lengths and shapes are left to the constructors.
+    """
+    if not isinstance(obj, list):
+        return False
+    for item in obj:
+        if depth == 1:
+            if not isinstance(item, (int, float)) or isinstance(item, bool):
+                return False
+        elif not _is_nested_numbers(item, depth - 1):
+            return False
+    return True
 
 
 def _instance_from_dict(obj: Any, where: str, line: int | None) -> Instance:
     _require(isinstance(obj, dict), f"{where} must be an object", line)
     _require("polygon" in obj, f"{where} is missing 'polygon'", line)
-    pts = _parse_points(obj["polygon"], f"{where}.polygon", line)
-    _require(len(pts) >= 3, f"{where}.polygon needs at least 3 points", line)
-    score = obj.get("score")
-    if score is not None:
-        _require(
-            isinstance(score, (int, float)) and not isinstance(score, bool),
-            f"{where}.score must be a number",
-            line,
-        )
+    polygon, score, components = obj["polygon"], obj.get("score"), obj.get("components")
     ignore = obj.get("ignore", False)
+    _require(
+        _is_nested_numbers(polygon, 2), f"{where}.polygon must be a list of lists of numbers", line
+    )
+    _require(
+        score is None or _is_nested_numbers([score], 1), f"{where}.score must be a number", line
+    )
     _require(isinstance(ignore, bool), f"{where}.ignore must be a boolean", line)
-    components = None
-    if obj.get("components") is not None:
-        raw = obj["components"]
-        _require(isinstance(raw, list) and len(raw) > 0, f"{where}.components must be a non-empty list", line)
-        quads = []
-        for qi, quad in enumerate(raw):
-            q = _parse_points(quad, f"{where}.components[{qi}]", line)
-            _require(q.shape == (4, 2), f"{where}.components[{qi}] must hold exactly 4 points", line)
-            quads.append(q)
-        components = np.stack(quads)
+    _require(
+        components is None or _is_nested_numbers(components, 3),
+        f"{where}.components must be a list of lists of lists of numbers",
+        line,
+    )
     try:
-        return Instance(
-            polygon=Polygon(pts),
-            score=score,
-            ignore=ignore,
-            components=components,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}", line) from None
+        return Instance(Polygon(polygon), score, ignore, components)
+    except ValueError as exc:  # each constructor message starts with the field's JSON key
+        raise SchemaError(f"{where}.{exc}", line) from None
 
 
 def record_from_dict(obj: Any, line: int | None = None) -> AnnotationRecord:

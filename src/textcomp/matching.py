@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import ComponentSequence
-from .losses import _focal_values
+from .losses import LossParams, _focal_values
 
 __all__ = [
     "MatchParams",
@@ -41,10 +41,7 @@ class MatchParams:
     reg_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.focal_alpha <= 1.0:
-            raise ValueError(f"focal_alpha must lie in [0, 1], got {self.focal_alpha}")
-        if self.focal_gamma < 0.0:
-            raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        LossParams(self.focal_alpha, self.focal_gamma)  # the focal terms' one validator
         if self.cls_weight < 0.0 or self.reg_weight < 0.0:
             raise ValueError("cost weights must be >= 0")
 

@@ -189,7 +189,7 @@ def test_piou_schema_error_names_the_side(tmp_path, capsys):
     )
     assert run(["piou", "--pairs", str(pairs)]) == 1
     err = capsys.readouterr().err
-    assert "line 1: b.polygon needs at least 3 points" in err
+    assert "line 1: b.polygon has 2 entries, needs at least 3" in err
     assert "instances" not in err
 
 
@@ -315,6 +315,17 @@ def test_match_caps_predictions_at_n_max(tmp_path, capsys):
     )
     assert code == 0
     assert len(payload["images"][0]["assignment"]) == 2
+
+
+def test_match_negative_n_max_is_usage_error(tmp_path, capsys):
+    # order[:-1] would silently drop the lowest-scored prediction
+    records = tmp_path / "records.jsonl"
+    write_jsonl([rect_record(score=0.9)], records)
+    argv = ["match", "--preds", str(records), "--gts", str(records), "--n-max", "-1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-max: must be >= 0, got -1" in captured.err
 
 
 # ---------------------------------------------------------------------- eval
@@ -466,6 +477,15 @@ def test_synth_validates_canvas(tmp_path, capsys):
     code = run(["synth", "--seed", "1", "--canvas", "wide", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "--canvas" in capsys.readouterr().err
+
+
+def test_synth_negative_images_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert run(["synth", "--seed", "1", "--images", "-2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--images: must be >= 0, got -2" in captured.err
+    assert not out.exists()
 
 
 def test_synth_curvature_levels_exposed():

@@ -99,16 +99,6 @@ def test_from_frames_mean_score_example():
     assert predictions[0].score == pytest.approx(0.8, abs=1e-12)
 
 
-def test_from_frames_alternative_aggregations():
-    quads = np.zeros((3, 1, 4, 2))
-    scores = np.array([[0.9], [0.4], [0.0]])
-    grid = FrameGrid(quads, scores)
-    assert from_frames(grid, 0.0, score_agg="min")[0].score == 0.0
-    assert from_frames(grid, 0.0, score_agg="geomean")[0].score == 0.0
-    with pytest.raises(ValueError):
-        from_frames(grid, 0.0, score_agg="median")
-
-
 def test_from_frames_drops_only_strictly_below_threshold():
     quads = np.zeros((2, 3, 4, 2))
     scores = np.array([[0.2, 0.5, 0.9], [0.2, 0.5, 0.9]])

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from textcomp import (
     AnnotationRecord,
@@ -19,8 +22,15 @@ from textcomp import (
     record_to_dict,
     write_jsonl,
 )
+from textcomp.cli import run
+from textcomp.geometry import COORD_BOUND
 
 GOLDEN = Path(__file__).parent / "data" / "golden.jsonl"
+
+
+def _coords(shape):
+    """Arrays of the given shape with every coordinate the constructors accept."""
+    return arrays(float, shape, elements=st.floats(-COORD_BOUND, COORD_BOUND))
 
 
 def random_record(rng, image):
@@ -151,6 +161,12 @@ def test_schema_errors_name_the_offending_path():
                 ],
             }
         )
+    ragged = {"polygon": [[0, 0], [1, 0, 2], [1, 1]]}
+    with pytest.raises(SchemaError, match=r"^instances\[0\]\.polygon must have shape \(n, 2\)"):
+        record_from_dict({"image": "a", "instances": [ragged]})
+    no_quads = {"polygon": [[0, 0], [1, 0], [1, 1]], "components": []}
+    with pytest.raises(SchemaError, match=r"^line 4: instances\[0\]\.components must have shape"):
+        record_from_dict({"image": "a", "instances": [no_quads]}, 4)
     with pytest.raises(SchemaError):
         record_from_dict({"instances": []})
     with pytest.raises(SchemaError):
@@ -161,6 +177,45 @@ def test_schema_errors_name_the_offending_path():
         )
     with pytest.raises(SchemaError):
         record_from_dict([])
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+# name -> (field, value) of a JSON type the reader refuses: numpy would read
+# true as 1.0 and "1.5" as 1.5, and null as NaN.
+TYPE_FAULTS = {
+    **{f"polygon-{v}": ("polygon", [*SQUARE[:3], [0.0, v]]) for v in (True, "1.5", None)},
+    **{f"components-{v}": ("components", [[*SQUARE[:3], [0.0, v]]]) for v in (True, "1.5", None)},
+    "polygon-too-deep": ("polygon", [[point] for point in SQUARE]),
+    "components-too-deep": ("components", [[[point] for point in SQUARE]]),
+    "score-true": ("score", True),
+}
+
+
+@pytest.mark.parametrize("fault", TYPE_FAULTS)
+def test_reader_refuses_non_number_leaves(tmp_path, capsys, fault):
+    key, value = TYPE_FAULTS[fault]
+    bad = {"polygon": SQUARE, key: value}
+    records = tmp_path / "records.jsonl"
+    records.write_text(
+        json.dumps({"image": "a", "instances": []}) + "\n"
+        + json.dumps({"image": "b", "instances": [bad]}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError) as info:
+        read_jsonl(records)
+    assert info.value.line == 2
+    assert str(info.value).startswith(f"line 2: instances[0].{key} must be ")
+
+    pairs = tmp_path / "pairs.jsonl"
+    good = {"polygon": SQUARE}
+    pairs.write_text(
+        json.dumps({"a": good, "b": good}) + "\n" + json.dumps({"a": bad, "b": good}) + "\n",
+        encoding="utf-8",
+    )
+    assert run(["piou", "--pairs", str(pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 2: a.{key} must be " in captured.err
 
 
 # ----------------------------------------------------------- canonical JSONL
@@ -175,6 +230,27 @@ def test_round_trip_is_lossless(tmp_path):
     assert len(loaded) == len(records)
     for original, reloaded in zip(records, loaded):
         assert records_equal(original, reloaded)
+
+
+@given(
+    polygon=st.integers(3, 8).flatmap(lambda n: _coords((n, 2))),
+    components=st.none() | st.integers(0, 4).flatmap(lambda t: _coords((t, 4, 2))),
+    score=st.none() | st.floats(0.0, 1.0),
+    ignore=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_constructible_instance_round_trips(
+    tmp_path_factory, polygon, components, score, ignore
+):
+    try:
+        instance = Instance(Polygon(polygon), score, ignore, components)
+    except ValueError:  # only a chain of no quads is refused
+        assert len(components) == 0
+        return
+    record = AnnotationRecord("a", [instance])
+    path = tmp_path_factory.mktemp("round") / "one.jsonl"
+    write_jsonl([record], path)
+    assert records_equal(record, read_jsonl(path)[0])
 
 
 def test_write_then_write_again_is_stable(tmp_path):

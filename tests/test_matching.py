@@ -136,6 +136,8 @@ def test_cost_weights_select_terms():
 def test_params_validation():
     with pytest.raises(ValueError):
         MatchParams(focal_alpha=-0.1)
+    with pytest.raises(ValueError):  # focal_loss refuses alpha 0 too
+        MatchParams(focal_alpha=0.0)
     with pytest.raises(ValueError):
         MatchParams(focal_gamma=-1.0)
     with pytest.raises(ValueError):

@@ -69,6 +69,7 @@ COORD_FAULTS = {
     "past_bound": PAST_BOUND,
     "-past_bound": -PAST_BOUND,
     "shape": None,
+    "empty": None,
 }
 SCORE_FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "below": -0.1, "above": 1.5}
 
@@ -88,6 +89,8 @@ def test_coordinate_constructors_reject_bad_coordinates(name, fault):
     build(good)
     if fault == "shape":  # one extra value per point
         bad = np.concatenate([good, np.zeros((*good.shape[:-1], 1))], axis=-1)
+    elif fault == "empty":  # no points, quads or frames at all
+        bad = good[:0]
     else:
         bad = good.copy()
         bad.flat[-1] = COORD_FAULTS[fault]
